@@ -4,12 +4,14 @@
 use crate::cache::{workload_datasets, CacheStats, DatasetCache};
 use crate::scale::Scale;
 use crate::shard::ShardPlan;
-use perfvec::compose::program_representation;
+use perfvec::compose::program_representations;
 use perfvec::predict::{evaluate_program, EvalRow};
 use perfvec::refit::refit_march_table;
 use perfvec::trainer::{train_foundation, TrainConfig, TrainedFoundation};
+use perfvec::{Foundation, MarchTable};
 use perfvec_sim::MicroArchConfig;
-use perfvec_trace::features::FeatureMask;
+use perfvec_trace::features::{FeatureMask, Matrix};
+use perfvec_trace::ProgramData;
 use perfvec_workloads::suite;
 
 pub use perfvec::data::SuiteData;
@@ -86,35 +88,56 @@ pub fn datasets_for(
     (SuiteData::assemble_from(workloads, parts), stats)
 }
 
-/// Train the foundation on the training programs and refit its
-/// microarchitecture table in closed form over all training instructions
-/// (the converged fixed point of the paper's long table-SGD schedule).
+/// Ridge of the closed-form table refit ([`refit`]).
+pub const REFIT_RIDGE: f64 = 3e-3;
+
+/// Train the foundation on the training programs and [`refit`] its
+/// microarchitecture table.
 pub fn train_and_refit(data: &SuiteData, cfg: &TrainConfig) -> TrainedFoundation {
     let mut trained = train_foundation(&data.train, cfg);
-    trained.march_table = refit_march_table(&trained.foundation, &data.train, 3e-3);
+    refit(&mut trained, data);
     trained
+}
+
+/// Refit the trained microarchitecture table in closed form over all
+/// training instructions (the converged fixed point of the paper's long
+/// table-SGD schedule).
+pub fn refit(trained: &mut TrainedFoundation, data: &SuiteData) {
+    trained.march_table = refit_march_table(&trained.foundation, &data.train, REFIT_RIDGE);
 }
 
 /// Evaluate a trained foundation on seen (training) and unseen (testing)
 /// programs against the machines of its own table; ground truth is the
 /// column sums of each dataset (identical to the simulator totals).
 pub fn eval_seen_unseen(trained: &TrainedFoundation, data: &SuiteData) -> Vec<EvalRow> {
-    let mut rows = Vec::new();
-    for (seen, set) in [(true, &data.train), (false, &data.test)] {
-        for d in set {
-            let rp = program_representation(&trained.foundation, &d.features);
+    let programs: Vec<(bool, &ProgramData)> = data
+        .train
+        .iter()
+        .map(|d| (true, d))
+        .chain(data.test.iter().map(|d| (false, d)))
+        .collect();
+    eval_programs(&trained.foundation, &trained.march_table, &programs)
+}
+
+/// Evaluate `programs`, each flagged seen or unseen, against every
+/// machine of `table`. All representations come from one batched,
+/// chunk-parallel pass ([`program_representations`]), so the programs
+/// share every core.
+pub fn eval_programs(
+    foundation: &Foundation,
+    table: &MarchTable,
+    programs: &[(bool, &ProgramData)],
+) -> Vec<EvalRow> {
+    let feats: Vec<&Matrix> = programs.iter().map(|(_, d)| &d.features).collect();
+    let reps = program_representations(foundation, &feats);
+    programs
+        .iter()
+        .zip(&reps)
+        .map(|(&(seen, d), rp)| {
             let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            rows.push(evaluate_program(
-                &d.name,
-                seen,
-                &rp,
-                &trained.foundation,
-                &trained.march_table,
-                &truths,
-            ));
-        }
-    }
-    rows
+            evaluate_program(&d.name, seen, rp, foundation, table, &truths)
+        })
+        .collect()
 }
 
 /// Mean error over the seen or unseen subset of rows.

@@ -5,15 +5,16 @@
 use super::RunError;
 use crate::cache::workload_datasets;
 use crate::chart::bar_chart;
-use crate::pipeline::{subset_mean, suite_datasets_with};
+use crate::pipeline::{eval_programs, subset_mean, suite_datasets_with};
 use crate::report::Report;
 use crate::spec::ExperimentSpec;
-use perfvec::compose::program_representation;
+use perfvec::compose::program_representations;
 use perfvec::finetune::{learn_march_reps, FinetuneConfig};
-use perfvec::foundation::ArchSpec;
+use perfvec::foundation::{ArchSpec, Foundation};
 use perfvec::predict::evaluate_program;
 use perfvec::refit::{accumulate_normal_equations, solve_table};
 use perfvec::trainer::{train_foundation, TrainConfig};
+use perfvec::MarchTable;
 use perfvec_json::{obj, Json};
 use perfvec_ml::mlp::Mlp;
 use perfvec_ml::schedule::StepDecay;
@@ -23,26 +24,10 @@ use perfvec_trace::features::{FeatureMask, BRANCH_FEATURES, MEM_FEATURES};
 use perfvec_trace::ProgramData;
 use perfvec_workloads::{suite, training_suite, SuiteRole, Workload};
 
-fn eval_unseen_programs(
-    trained: &perfvec::trainer::TrainedFoundation,
-    test: &[ProgramData],
-) -> f64 {
-    let rows: Vec<_> = test
-        .iter()
-        .map(|d| {
-            let rp = program_representation(&trained.foundation, &d.features);
-            let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            evaluate_program(
-                &d.name,
-                false,
-                &rp,
-                &trained.foundation,
-                &trained.march_table,
-                &truths,
-            )
-        })
-        .collect();
-    subset_mean(&rows, false)
+/// Mean error of `test`, all unseen programs, against `table`.
+fn unseen_error(foundation: &Foundation, table: &MarchTable, test: &[ProgramData]) -> f64 {
+    let programs: Vec<_> = test.iter().map(|d| (false, d)).collect();
+    subset_mean(&eval_programs(foundation, table, &programs), false)
 }
 
 /// **Section V-B, training-data volume ablation**: instruction-volume
@@ -83,7 +68,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .map(|d| d.truncated(d.len() * pct / 100))
             .collect();
         let trained = train_foundation(&subset, &cfg);
-        let err = eval_unseen_programs(&trained, &data.test);
+        let err = unseen_error(&trained.foundation, &trained.march_table, &data.test);
         perfvec_obs::info!("ablations", 
             "[ablation_data] {pct:>3}% of instructions -> unseen error {:.1}%",
             err * 100.0
@@ -154,7 +139,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             .collect();
         let trained = train_foundation(&subset, &cfg);
         // unseen programs, seen machines
-        let prog_err = eval_unseen_programs(&trained, &{
+        let prog_err = unseen_error(&trained.foundation, &trained.march_table, &{
             data.test
                 .iter()
                 .map(|d| d.with_march_subset(&keep))
@@ -166,17 +151,7 @@ pub fn ablation_data(spec: &ExperimentSpec, report: &mut Report) -> Result<(), R
             &tuning_full,
             &FinetuneConfig::default(),
         );
-        let march_err = {
-            let rows: Vec<_> = test_unseen_m
-                .iter()
-                .map(|d| {
-                    let rp = program_representation(&trained.foundation, &d.features);
-                    let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-                    evaluate_program(&d.name, false, &rp, &trained.foundation, &ft_table, &truths)
-                })
-                .collect();
-            subset_mean(&rows, false)
-        };
+        let march_err = unseen_error(&trained.foundation, &ft_table, &test_unseen_m);
         perfvec_obs::info!("ablations", 
             "[ablation_data] {k} machines -> unseen-program {:.1}%, unseen-march {:.1}%",
             prog_err * 100.0,
@@ -258,29 +233,10 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     cfg.epochs /= 2;
     cfg.windows_per_epoch /= 2;
 
-    let eval = |trained: &perfvec::trainer::TrainedFoundation, test: &[ProgramData]| -> f64 {
-        let rows: Vec<_> = test
-            .iter()
-            .map(|d| {
-                let rp = program_representation(&trained.foundation, &d.features);
-                let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-                evaluate_program(
-                    &d.name,
-                    false,
-                    &rp,
-                    &trained.foundation,
-                    &trained.march_table,
-                    &truths,
-                )
-            })
-            .collect();
-        subset_mean(&rows, false)
-    };
-
     perfvec_obs::info!("ablations", "[ablation_features] training with all 51 features...");
     let t_full = std::time::Instant::now();
     let full = train_foundation(&data.train, &cfg);
-    let full_err = eval(&full, &data.test);
+    let full_err = unseen_error(&full.foundation, &full.march_table, &data.test);
     perfvec_obs::info!("ablations", 
         "[ablation_features] full-feature model in {:.1}s; training without memory/branch features...",
         t_full.elapsed().as_secs_f64()
@@ -290,7 +246,7 @@ pub fn ablation_features(spec: &ExperimentSpec, report: &mut Report) -> Result<(
     let masked_train: Vec<ProgramData> = data.train.iter().map(masked).collect();
     let masked_test: Vec<ProgramData> = data.test.iter().map(masked).collect();
     let ablated = train_foundation(&masked_train, &cfg);
-    let ablated_err = eval(&ablated, &masked_test);
+    let ablated_err = unseen_error(&ablated.foundation, &ablated.march_table, &masked_test);
     report.phase("masked_train", t_masked.elapsed().as_secs_f64());
 
     println!(
@@ -470,20 +426,20 @@ pub fn tune_ridge(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunE
     let trained = train_foundation(&data.train, &cfg);
     perfvec_obs::info!("ablations", "trained; accumulating normal equations + reps...");
     let eq = accumulate_normal_equations(&trained.foundation, &data.train);
-    let reps: Vec<(String, bool, Vec<f32>, Vec<f64>)> = data
+    let programs: Vec<(bool, &ProgramData)> = data
         .train
         .iter()
-        .map(|d| (d.name.clone(), true, d, ()))
-        .map(|(n, s, d, _)| {
-            let rp = program_representation(&trained.foundation, &d.features);
+        .map(|d| (true, d))
+        .chain(data.test.iter().map(|d| (false, d)))
+        .collect();
+    let feats: Vec<_> = programs.iter().map(|(_, d)| &d.features).collect();
+    let reps: Vec<(String, bool, Vec<f32>, Vec<f64>)> = programs
+        .iter()
+        .zip(program_representations(&trained.foundation, &feats))
+        .map(|(&(seen, d), rp)| {
             let tr: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            (n, s, rp, tr)
+            (d.name.clone(), seen, rp, tr)
         })
-        .chain(data.test.iter().map(|d| {
-            let rp = program_representation(&trained.foundation, &d.features);
-            let tr: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            (d.name.clone(), false, rp, tr)
-        }))
         .collect();
     let mut ridge_rows = Vec::new();
     for ridge in [1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1] {

@@ -6,7 +6,8 @@ use super::{rows_json, RunError};
 use crate::cache::workload_datasets;
 use crate::chart::{bar_chart, dual_series, error_chart, surface};
 use crate::pipeline::{
-    eval_seen_unseen, subset_mean, suite_datasets_with, train_and_refit, SuiteData,
+    eval_programs, eval_seen_unseen, refit, subset_mean, suite_datasets_with, train_and_refit,
+    SuiteData,
 };
 use crate::report::Report;
 use crate::spec::{ExperimentKind, ExperimentSpec};
@@ -80,7 +81,7 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
 
     let cfg = train_config(spec)?;
     let t_train = std::time::Instant::now();
-    let trained = train_and_refit(&data, &cfg);
+    let mut trained = train_foundation(&data.train, &cfg);
     let train_secs = t_train.elapsed().as_secs_f64();
     report.phase("train", train_secs);
     perfvec_obs::info!("figures", 
@@ -90,6 +91,10 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         trained.report.best_epoch,
         trained.report.val_loss[trained.report.best_epoch as usize],
     );
+    let t_refit = std::time::Instant::now();
+    refit(&mut trained, &data);
+    let refit_secs = t_refit.elapsed().as_secs_f64();
+    report.phase("refit", refit_secs);
 
     let t_eval = std::time::Instant::now();
     let rows = eval_seen_unseen(&trained, &data);
@@ -116,7 +121,7 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         subset_mean(&rows, false) * 100.0
     );
     println!(
-        "total wall time {:.1}s (datasets {data_secs:.1}s, training+refit {train_secs:.1}s, eval {eval_secs:.1}s)",
+        "total wall time {:.1}s (datasets {data_secs:.1}s, training {train_secs:.1}s, refit {refit_secs:.1}s, eval {eval_secs:.1}s)",
         t0.elapsed().as_secs_f64(),
     );
     report.metric_f64("seen_mean_error", subset_mean(&rows, true));
@@ -300,19 +305,13 @@ pub fn fig5(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         spec.shard_plan(),
     );
     report.absorb_cache(estats);
-    let mut rows = Vec::new();
-    for (w, d) in suite().iter().zip(&eval_data) {
-        let rp = program_representation(&trained.foundation, &d.features);
-        let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-        rows.push(evaluate_program(
-            &w.name,
-            w.role == SuiteRole::Training,
-            &rp,
-            &trained.foundation,
-            &march_table,
-            &truths,
-        ));
-    }
+    // The cache names every dataset after its workload.
+    let programs: Vec<_> = suite()
+        .iter()
+        .zip(&eval_data)
+        .map(|(w, d)| (w.role == SuiteRole::Training, d))
+        .collect();
+    let rows = eval_programs(&trained.foundation, &march_table, &programs);
     let eval_secs = t_eval.elapsed().as_secs_f64();
     report.phase("eval", eval_secs);
     perfvec_obs::info!("figures", "[fig5] evaluated in {eval_secs:.1}s ({})", estats.summary());
@@ -448,21 +447,15 @@ pub fn fig6(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         // single-pass streaming generator for comparison.
         let streams = trained.foundation.model.supports_streaming();
         let warmup = 4 * cfg.context;
-        let mut errs = Vec::new();
+        let unseen: Vec<_> = test.iter().map(|d| (false, d)).collect();
+        let errs: Vec<f64> = eval_programs(&trained.foundation, &trained.march_table, &unseen)
+            .iter()
+            .map(|row| row.mean)
+            .collect();
         let mut stream_errs = Vec::new();
         for d in &test {
-            let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
-            let rp = program_representation(&trained.foundation, &d.features);
-            let row = evaluate_program(
-                &d.name,
-                false,
-                &rp,
-                &trained.foundation,
-                &trained.march_table,
-                &truths,
-            );
-            errs.push(row.mean);
             if streams {
+                let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
                 let srp =
                     program_representation_streaming(&trained.foundation, &d.features, 512, warmup)
                         .expect("streaming support checked above");
@@ -609,6 +602,8 @@ pub fn fig7(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
     let t_sweep = std::time::Instant::now();
     let mut outcomes: Vec<DseOutcome> = Vec::new();
     let mut namd_surfaces: Option<(Vec<f64>, Vec<f64>)> = None;
+    // One trace at a time keeps memory flat; each trace is many
+    // SUM_CHUNK chunks, so its representation alone fills the cores.
     for w in suite() {
         let trace = w.trace(trace_len);
         let feats = extract_features(&trace, spec.feature_mask);

@@ -460,6 +460,8 @@ pub fn table4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError
             ..Default::default()
         },
     );
+    // One feature matrix at a time keeps memory flat; each trace is many
+    // SUM_CHUNK chunks, so its representation alone fills the cores.
     let mut pv_picks = Vec::new();
     for (_, tr) in &traces {
         let feats = extract_features(tr, spec.feature_mask);

@@ -7,12 +7,12 @@
 //! representation predicts its execution time — no per-variant training,
 //! negligible inference cost.
 
-use crate::compose::program_representation;
+use crate::compose::program_representations;
 use crate::foundation::Foundation;
 use crate::predict::predict_total_tenths;
 use perfvec_isa::Trace;
 use perfvec_sim::{simulate, MicroArchConfig};
-use perfvec_trace::features::{extract_features, FeatureMask};
+use perfvec_trace::features::{extract_features, FeatureMask, Matrix};
 
 /// One point of a program-variant sweep.
 #[derive(Debug, Clone)]
@@ -41,18 +41,18 @@ pub fn sweep_variants(
     variants: &[(String, Trace)],
     target: &MicroArchConfig,
 ) -> Vec<SweepPoint> {
+    let feats: Vec<Matrix> = variants
+        .iter()
+        .map(|(_, trace)| extract_features(trace, FeatureMask::Full))
+        .collect();
+    let reps = program_representations(foundation, &feats.iter().collect::<Vec<_>>());
     variants
         .iter()
-        .map(|(label, trace)| {
-            let sim = simulate(trace, target);
-            let feats = extract_features(trace, FeatureMask::Full);
-            let rp = program_representation(foundation, &feats);
-            let pred = predict_total_tenths(&rp, march_rep, foundation.target_scale);
-            SweepPoint {
-                label: label.clone(),
-                simulated_tenths: sim.total_tenths,
-                predicted_tenths: pred,
-            }
+        .zip(&reps)
+        .map(|((label, trace), rp)| SweepPoint {
+            label: label.clone(),
+            simulated_tenths: simulate(trace, target).total_tenths,
+            predicted_tenths: predict_total_tenths(rp, march_rep, foundation.target_scale),
         })
         .collect()
 }

@@ -8,73 +8,168 @@
 //!
 //! Representation generation is embarrassingly parallel across
 //! instructions — the property the paper highlights for GPU/HPC
-//! execution. Here the windowed generator fans out over rayon; a
-//! stateful streaming generator (LSTM only) is provided as the fast
-//! single-pass alternative, with chunk-level parallelism and warmup
-//! context.
+//! execution. The windowed generator splits every trace into
+//! [`SUM_CHUNK`]-instruction chunks; the chunks of all programs in a
+//! call run in parallel, and each chunk feeds its windows
+//! [`LANE_WIDTH`] at a time through the batched forward pass. A
+//! stateful streaming generator (LSTM and GRU only) is provided as the
+//! fast single-pass alternative, with chunk-level parallelism and
+//! warmup context.
 
 use crate::foundation::Foundation;
-use perfvec_ml::parallel::parallel_map;
+use perfvec_ml::parallel::{parallel_map, LANE_WIDTH};
 use perfvec_trace::features::Matrix;
 use perfvec_trace::{fill_window, NUM_FEATURES};
+use std::ops::Range;
+
+/// Instructions summed per accumulator before folding into the total.
+///
+/// Shared by every windowed generator and by the refit's normal
+/// equations: identical chunking (and therefore identical
+/// floating-point summation order) is what makes their results
+/// bit-identical to one another.
+pub const SUM_CHUNK: usize = 2_048;
+
+/// The [`SUM_CHUNK`] work items of a set of traces with `lens` rows:
+/// `(trace, rows)` in trace order, chunks ascending. Empty traces
+/// contribute no item.
+pub(crate) fn sum_chunks(lens: impl IntoIterator<Item = usize>) -> Vec<(usize, Range<usize>)> {
+    let mut items = Vec::new();
+    for (p, n) in lens.into_iter().enumerate() {
+        for lo in (0..n).step_by(SUM_CHUNK) {
+            items.push((p, lo..(lo + SUM_CHUNK).min(n)));
+        }
+    }
+    items
+}
+
+/// Representations of a sequence of instruction windows, in order.
+///
+/// `windows` yields `(features, instruction)` pairs; they are filled
+/// `block` at a time (at least one) into one
+/// [`perfvec_ml::seq::SeqModel::forward_batch`] call, and `visit(n, r)`
+/// then sees the `n`-th window's representation, in ascending `n`.
+/// Single-threaded: callers parallelize over chunks of windows. Each
+/// `r` is bit-identical to [`Foundation::repr_at`] on the same window,
+/// for any `block`, because the batched forward is bit-identical per
+/// sequence to the scalar one. Offline callers use [`LANE_WIDTH`].
+pub(crate) fn for_each_representation<'a>(
+    foundation: &Foundation,
+    block: usize,
+    windows: impl IntoIterator<Item = (&'a Matrix, usize)>,
+    mut visit: impl FnMut(usize, &[f32]),
+) {
+    let block = block.max(1);
+    let w = foundation.window();
+    let stride = w * NUM_FEATURES;
+    let mut buf = vec![0.0f32; block * stride];
+    let mut filled = 0;
+    let mut done = 0;
+    for (features, i) in windows {
+        fill_window(
+            features,
+            i,
+            foundation.context,
+            &mut buf[filled * stride..(filled + 1) * stride],
+        );
+        filled += 1;
+        if filled == block {
+            visit_block(foundation, &buf, filled, done, &mut visit);
+            done += filled;
+            filled = 0;
+        }
+    }
+    visit_block(foundation, &buf, filled, done, &mut visit);
+}
+
+/// One `forward_batch` over the first `b` windows of `buf`, visited as
+/// windows `done..done + b`.
+fn visit_block(
+    foundation: &Foundation,
+    buf: &[f32],
+    b: usize,
+    done: usize,
+    visit: &mut impl FnMut(usize, &[f32]),
+) {
+    if b == 0 {
+        return;
+    }
+    let w = foundation.window();
+    let d = foundation.dim();
+    let outs = foundation
+        .model
+        .forward_batch(&buf[..b * w * NUM_FEATURES], w, b);
+    for (s, r) in outs.chunks_exact(d).enumerate() {
+        visit(done + s, r);
+    }
+}
+
+fn add_into(acc: &mut [f32], v: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(v) {
+        *a += x;
+    }
+}
 
 /// Per-instruction representations for `range` (windowed, exact
 /// training-time semantics); returns an `len x d` matrix.
 pub fn instruction_representations(
     foundation: &Foundation,
     features: &Matrix,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
 ) -> Matrix {
     let d = foundation.dim();
-    let idx: Vec<usize> = range.collect();
-    let rows = parallel_map(idx.len(), |n| foundation.repr_at(features, idx[n]));
-    let mut m = Matrix::zeros(idx.len(), d);
-    for (i, r) in rows.iter().enumerate() {
-        m.row_mut(i).copy_from_slice(r);
+    let items = sum_chunks([range.len()]);
+    let blocks = parallel_map(items.len(), |n| {
+        let rows = items[n].1.clone();
+        let mut out = Vec::with_capacity(rows.len() * d);
+        let windows = rows.map(|i| (features, range.start + i));
+        for_each_representation(foundation, LANE_WIDTH, windows, |_, r| {
+            out.extend_from_slice(r)
+        });
+        out
+    });
+    Matrix {
+        rows: range.len(),
+        cols: d,
+        data: blocks.concat(),
     }
-    m
 }
 
-/// Instructions summed per accumulator before folding into the total.
+/// The program representations `R_p = sum_i R_i` of several traces,
+/// computed with the exact windowed semantics.
 ///
-/// Shared by the windowed, blocked, and batched generators: identical
-/// chunking (and therefore identical floating-point summation order) is
-/// what makes their results bit-identical to one another.
-pub const SUM_CHUNK: usize = 2_048;
-
-/// The program representation `R_p = sum_i R_i` over the whole trace,
-/// computed with the exact windowed semantics. Chunk-parallel: each
-/// rayon task sums a contiguous block of instruction representations.
-pub fn program_representation(foundation: &Foundation, features: &Matrix) -> Vec<f32> {
+/// Every trace is cut into [`SUM_CHUNK`] chunks and the chunks of *all*
+/// programs run through one parallel map, so a set of short programs
+/// still fills every core. Within a chunk the windows run
+/// [`LANE_WIDTH`] at a time through the batched forward pass and are
+/// summed in ascending instruction order; each program's chunk partials are then folded in chunk order.
+/// A program's result therefore does not depend on which other programs
+/// share the call, and equals the scalar per-window sum bit for bit.
+pub fn program_representations(foundation: &Foundation, programs: &[&Matrix]) -> Vec<Vec<f32>> {
     let d = foundation.dim();
-    let n = features.rows;
-    if n == 0 {
-        return vec![0.0; d];
-    }
-    let chunk = SUM_CHUNK;
-    let n_chunks = n.div_ceil(chunk);
-    let partials = parallel_map(n_chunks, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        let w = foundation.window();
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+    let items = sum_chunks(programs.iter().map(|m| m.rows));
+    let partials = parallel_map(items.len(), |n| {
+        let (p, rows) = &items[n];
         let mut acc = vec![0.0f32; d];
-        for i in lo..hi {
-            fill_window(features, i, foundation.context, &mut buf);
-            let (r, _) = foundation.model.forward(&buf, w);
-            for (a, &v) in acc.iter_mut().zip(&r) {
-                *a += v;
-            }
-        }
+        let windows = rows.clone().map(|i| (programs[*p], i));
+        for_each_representation(foundation, LANE_WIDTH, windows, |_, r| {
+            add_into(&mut acc, r)
+        });
         acc
     });
-    let mut total = vec![0.0f32; d];
-    for p in partials {
-        for (t, &v) in total.iter_mut().zip(&p) {
-            *t += v;
-        }
+    let mut totals = vec![vec![0.0f32; d]; programs.len()];
+    for ((p, _), partial) in items.iter().zip(&partials) {
+        add_into(&mut totals[*p], partial);
     }
-    total
+    totals
+}
+
+/// The program representation of one trace: the single-program case of
+/// [`program_representations`].
+pub fn program_representation(foundation: &Foundation, features: &Matrix) -> Vec<f32> {
+    program_representations(foundation, &[features])
+        .pop()
+        .expect("one program in, one representation out")
 }
 
 /// Coalesced batched representations for several programs at once: the
@@ -97,95 +192,24 @@ pub fn program_representations_coalesced(
     block: usize,
 ) -> Vec<Vec<f32>> {
     let d = foundation.dim();
-    let w = foundation.window();
-    let block = block.max(1);
-    let mut totals: Vec<Vec<f32>> = programs.iter().map(|_| vec![0.0f32; d]).collect();
-    let mut accs: Vec<Vec<f32>> = programs.iter().map(|_| vec![0.0f32; d]).collect();
-    let mut seqbuf = vec![0.0f32; block * w * NUM_FEATURES];
-    // (program, instruction) pending in the current window block.
-    let mut pending: Vec<(usize, usize)> = Vec::with_capacity(block);
-    for (req, feats) in programs.iter().enumerate() {
-        for i in 0..feats.rows {
-            let s = pending.len();
-            fill_window(
-                feats,
-                i,
-                foundation.context,
-                &mut seqbuf[s * w * NUM_FEATURES..(s + 1) * w * NUM_FEATURES],
-            );
-            pending.push((req, i));
-            if pending.len() == block {
-                run_window_block(
-                    foundation,
-                    &mut pending,
-                    &seqbuf,
-                    programs,
-                    &mut accs,
-                    &mut totals,
-                );
-            }
-        }
-    }
-    run_window_block(
-        foundation,
-        &mut pending,
-        &seqbuf,
-        programs,
-        &mut accs,
-        &mut totals,
-    );
-    totals
-}
-
-fn run_window_block(
-    foundation: &Foundation,
-    pending: &mut Vec<(usize, usize)>,
-    seqbuf: &[f32],
-    programs: &[&Matrix],
-    accs: &mut [Vec<f32>],
-    totals: &mut [Vec<f32>],
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let d = foundation.dim();
-    let w = foundation.window();
-    let b = pending.len();
-    // One code path for every block size: batch 1's batch-major layout
-    // coincides with sequence-major, and forward_batch is bit-identical
-    // per sequence to the scalar forward.
-    let outs = foundation
-        .model
-        .forward_batch(&seqbuf[..b * w * NUM_FEATURES], w, b);
-    for (s, &(req, i)) in pending.iter().enumerate() {
-        for (a, &v) in accs[req].iter_mut().zip(&outs[s * d..(s + 1) * d]) {
-            *a += v;
-        }
+    let mut totals = vec![vec![0.0f32; d]; programs.len()];
+    // Programs are visited one after another, so one chunk accumulator
+    // serves them all.
+    let mut acc = vec![0.0f32; d];
+    let owners = || (0..programs.len()).flat_map(|p| (0..programs[p].rows).map(move |i| (p, i)));
+    let windows = owners().map(|(p, i)| (programs[p], i));
+    let mut owner = owners();
+    for_each_representation(foundation, block, windows, |_, r| {
+        let (p, i) = owner.next().expect("one visit per window");
+        add_into(&mut acc, r);
         // Fold the chunk accumulator into the total at chunk
         // boundaries and at the end of the program's trace.
-        let n = programs[req].rows;
-        if (i + 1) % SUM_CHUNK == 0 || i + 1 == n {
-            for (t, a) in totals[req].iter_mut().zip(accs[req].iter_mut()) {
-                *t += *a;
-                *a = 0.0;
-            }
+        if (i + 1) % SUM_CHUNK == 0 || i + 1 == programs[p].rows {
+            add_into(&mut totals[p], &acc);
+            acc.fill(0.0);
         }
-    }
-    pending.clear();
-}
-
-/// [`program_representation`] computed single-threaded through the
-/// batched forward pass — the single-program case of
-/// [`program_representations_coalesced`], with the same bit-identity
-/// guarantee.
-pub fn program_representation_blocked(
-    foundation: &Foundation,
-    features: &Matrix,
-    block: usize,
-) -> Vec<f32> {
-    program_representations_coalesced(foundation, &[features], block)
-        .pop()
-        .expect("one program in, one representation out")
+    });
+    totals
 }
 
 /// Fast single-pass streaming representation (stateful recurrent
@@ -225,18 +249,14 @@ pub fn program_representation_streaming(
         for i in start..hi {
             model.stream_step(&mut state, features.row(i), &mut out);
             if i >= lo {
-                for (a, &v) in acc.iter_mut().zip(&out) {
-                    *a += v;
-                }
+                add_into(&mut acc, &out);
             }
         }
         acc
     });
     let mut total = vec![0.0f32; d];
-    for p in partials {
-        for (t, &v) in total.iter_mut().zip(&p) {
-            *t += v;
-        }
+    for p in &partials {
+        add_into(&mut total, p);
     }
     Some(total)
 }
@@ -411,8 +431,8 @@ mod tests {
             let feats = toy_features(100);
             let reference = program_representation(&f, &feats);
             for block in [1usize, 7, 32, 256] {
-                let blocked = program_representation_blocked(&f, &feats, block);
-                assert_eq!(reference, blocked, "{kind:?} block {block}");
+                let blocked = program_representations_coalesced(&f, &[&feats], block);
+                assert_eq!(vec![reference.clone()], blocked, "{kind:?} block {block}");
             }
         }
     }
@@ -449,6 +469,18 @@ mod tests {
     }
 
     #[test]
+    fn instruction_representations_match_repr_at_across_chunks() {
+        let f = lstm_foundation();
+        let feats = toy_features(SUM_CHUNK + 40);
+        let range = 5..SUM_CHUNK + 37;
+        let per = instruction_representations(&f, &feats, range.clone());
+        assert_eq!((per.rows, per.cols), (range.len(), 8));
+        for (row, i) in range.enumerate().step_by(97) {
+            assert_eq!(per.row(row), &f.repr_at(&feats, i)[..], "instruction {i}");
+        }
+    }
+
+    #[test]
     fn blocked_representation_spans_chunk_boundaries_exactly() {
         // More instructions than SUM_CHUNK forces the chunk-partial fold
         // to run; a block size that does not divide the chunk exercises
@@ -456,8 +488,8 @@ mod tests {
         let f = lstm_foundation();
         let feats = toy_features(SUM_CHUNK + 513);
         assert_eq!(
-            program_representation(&f, &feats),
-            program_representation_blocked(&f, &feats, 30)
+            vec![program_representation(&f, &feats)],
+            program_representations_coalesced(&f, &[&feats], 30)
         );
     }
 
@@ -465,7 +497,10 @@ mod tests {
     fn blocked_representation_of_empty_trace_is_zero() {
         let f = lstm_foundation();
         let feats = Matrix::zeros(0, NUM_FEATURES);
-        assert_eq!(program_representation_blocked(&f, &feats, 8), vec![0.0; 8]);
+        assert_eq!(
+            program_representations_coalesced(&f, &[&feats], 8),
+            vec![vec![0.0; 8]]
+        );
     }
 
     #[test]

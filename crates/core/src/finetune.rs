@@ -8,11 +8,12 @@
 //! computed once and cached — fine-tuning is orders of magnitude cheaper
 //! than foundation training.
 
+use crate::compose::for_each_representation;
 use crate::foundation::Foundation;
 use crate::march_table::MarchTable;
 use crate::refit::{try_solve_table, NormalEq};
 use perfvec_ml::adam::Adam;
-use perfvec_ml::parallel::{parallel_map, BatchStep};
+use perfvec_ml::parallel::{parallel_map, BatchStep, LANE_WIDTH};
 use perfvec_ml::tensor::{axpy, dot};
 use perfvec_trace::ProgramData;
 use rand::rngs::StdRng;
@@ -73,10 +74,19 @@ pub fn cache_representations(
     pool.truncate(windows.min(pool.len()));
 
     let scale = foundation.target_scale;
-    let reps = parallel_map(pool.len(), |n| {
-        let (p, i) = pool[n];
-        foundation.repr_at(&tuning[p].features, i)
+    // Per-window results do not depend on the chunking, so the chunks
+    // are sized for load balance, not for summation order.
+    let chunks: Vec<&[(usize, usize)]> = pool.chunks(8 * LANE_WIDTH).collect();
+    let blocks = parallel_map(chunks.len(), |c| {
+        let chunk = chunks[c];
+        let mut reps = Vec::with_capacity(chunk.len());
+        let windows = chunk.iter().map(|&(p, i)| (&tuning[p].features, i));
+        for_each_representation(foundation, LANE_WIDTH, windows, |_, r| {
+            reps.push(r.to_vec())
+        });
+        reps
     });
+    let reps = blocks.concat();
     let targets = pool
         .iter()
         .map(|&(p, i)| {

@@ -22,7 +22,7 @@
 //! * [`trainer`] — joint training with microarchitecture sampling and
 //!   instruction-representation reuse (Section IV)
 //! * [`compose`] — program representation = sum of instruction
-//!   representations, windowed or streaming, rayon-parallel
+//!   representations, windowed (batched, chunk-parallel) or streaming
 //! * [`predict`] — dot-product prediction and the paper's error metrics
 //! * [`finetune`] — representations of unseen machines with the
 //!   foundation frozen (Section V-A)
@@ -72,7 +72,7 @@ pub mod refit;
 pub mod trainer;
 
 pub use compose::{
-    program_representation, program_representation_blocked, program_representation_streaming,
+    program_representation, program_representation_streaming, program_representations,
     program_representations_coalesced,
 };
 pub use foundation::{ArchKind, ArchSpec, Foundation};

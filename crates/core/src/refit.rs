@@ -5,14 +5,15 @@
 //! instruction — the fixed point the paper's long SGD schedule converges
 //! to. At this reproduction's scale it is cheaper and exact: one pass to
 //! accumulate the normal equations (instruction representations are
-//! generated once, in parallel), one Cholesky factorization shared by
-//! all machines.
+//! generated once, batched and chunk-parallel), one Cholesky
+//! factorization shared by all machines.
 
+use crate::compose::{for_each_representation, sum_chunks};
 use crate::foundation::Foundation;
 use crate::march_table::MarchTable;
 use perfvec_ml::linalg::ridge_solve;
-use perfvec_ml::parallel::parallel_map;
-use perfvec_trace::{fill_window, ProgramData, NUM_FEATURES};
+use perfvec_ml::parallel::{parallel_map, LANE_WIDTH};
+use perfvec_trace::ProgramData;
 
 /// Accumulated normal equations for a linear head of width `d` with `k`
 /// right-hand sides.
@@ -73,33 +74,23 @@ impl NormalEq {
 }
 
 /// Accumulate the normal equations over every instruction of every
-/// program (chunk-parallel).
+/// program: the programs' [`SUM_CHUNK`](crate::compose::SUM_CHUNK)
+/// chunks run in parallel, each feeding its windows through the batched
+/// forward pass and its rows into [`NormalEq::accumulate`] in ascending
+/// instruction order; the chunk partials merge in chunk order.
 pub fn accumulate_normal_equations(foundation: &Foundation, data: &[ProgramData]) -> NormalEq {
     let d = foundation.dim();
     let k = data[0].num_marches();
     let scale = foundation.target_scale;
-    let chunk = 2_048usize;
-    // Flatten (program, chunk) work items.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    for (p, dset) in data.iter().enumerate() {
-        let mut lo = 0;
-        while lo < dset.len() {
-            let hi = (lo + chunk).min(dset.len());
-            items.push((p, lo, hi));
-            lo = hi;
-        }
-    }
+    let items = sum_chunks(data.iter().map(ProgramData::len));
     let partials = parallel_map(items.len(), |n| {
-        let (p, lo, hi) = items[n];
-        let dset = &data[p];
-        let w = foundation.window();
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+        let (p, rows) = &items[n];
+        let dset = &data[*p];
         let mut eq = NormalEq::zeros(d, k);
-        for i in lo..hi {
-            fill_window(&dset.features, i, foundation.context, &mut buf);
-            let (r, _) = foundation.model.forward(&buf, w);
-            eq.accumulate(&r, dset.targets.row(i), scale);
-        }
+        let windows = rows.clone().map(|i| (&dset.features, i));
+        for_each_representation(foundation, LANE_WIDTH, windows, |m, r| {
+            eq.accumulate(r, dset.targets.row(rows.start + m), scale);
+        });
         eq
     });
     partials
@@ -145,6 +136,7 @@ mod tests {
     use perfvec_ml::init::seeded_rng;
     use perfvec_ml::tensor::dot;
     use perfvec_trace::features::Matrix;
+    use perfvec_trace::NUM_FEATURES;
     use rand::Rng;
 
     fn synthetic(foundation: &Foundation, k: usize, n: usize) -> (Vec<ProgramData>, Vec<Vec<f32>>) {

@@ -32,6 +32,7 @@
 //! RNG state) at an epoch cadence, and `TrainConfig::resume_from`
 //! restarts from one bit-identically.
 
+use crate::compose::for_each_representation;
 use crate::foundation::{ArchSpec, Foundation};
 use crate::march_table::MarchTable;
 use perfvec_ml::adam::Adam;
@@ -164,11 +165,11 @@ fn build_pool(data: &[ProgramData]) -> Vec<Item> {
     pool
 }
 
-/// The per-window loss and gradient computation shared by training and
-/// validation. Returns the mean squared error over the k machines on
-/// normalized targets (`t_ij * target_scale * inv_scale[j]`); when
-/// `grads` is `Some`, accumulates model gradients into
-/// `grads[..model_len]` and table gradients into the remainder.
+/// The scalar per-window loss and gradient computation of one training
+/// item. Returns the mean squared error over the k machines on
+/// normalized targets (`t_ij * target_scale * inv_scale[j]`) and
+/// accumulates model gradients into `grads[..model_len]` and table
+/// gradients into the remainder.
 #[allow(clippy::too_many_arguments)]
 fn window_pass(
     foundation: &Foundation,
@@ -178,7 +179,7 @@ fn window_pass(
     inv_scale: &[f32],
     buf: &mut [f32],
     preds: &mut [f32],
-    grads: Option<&mut [f32]>,
+    grads: &mut [f32],
     model_len: usize,
     reuse: bool,
 ) -> f64 {
@@ -188,52 +189,54 @@ fn window_pass(
     fill_window(&data.features, i, foundation.context, buf);
     let scale = foundation.target_scale;
     let targets = data.targets.row(i);
-
-    match grads {
-        // Naive: a full forward/backward per microarchitecture.
-        Some(grads) if !reuse => {
-            let mut loss = 0.0f64;
-            let inv_k = 2.0 / k as f32;
-            for j in 0..k {
+    let inv_k = 2.0 / k as f32;
+    let (g_model, g_table) = grads.split_at_mut(model_len);
+    if reuse {
+        // Representation reuse: one forward, shared by all k machines.
+        let (r, cache) = foundation.model.forward(buf, w);
+        table.predict_all(&r, preds);
+        let loss = item_loss(preds, targets, scale, inv_scale);
+        let mut dr = vec![0.0f32; dim];
+        for (j, &err) in preds.iter().enumerate() {
+            // dL/dM_j and the reused dL/dR contribution
+            axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
+            axpy(inv_k * err, table.rep(j), &mut dr);
+        }
+        foundation.model.backward(buf, w, &cache, &dr, g_model);
+        loss
+    } else {
+        // Naive: a full forward/backward per microarchitecture. The k
+        // forwards run first, so the item is scored like any other.
+        let passes: Vec<_> = (0..k)
+            .map(|j| {
                 let (r, cache) = foundation.model.forward(buf, w);
-                let pred = dot(&r, table.rep(j));
-                let err = pred - targets[j] * scale * inv_scale[j];
-                loss += (err * err) as f64;
-                let (g_model, g_table) = grads.split_at_mut(model_len);
-                axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
-                let mut dr = vec![0.0f32; dim];
-                axpy(inv_k * err, table.rep(j), &mut dr);
-                foundation.model.backward(buf, w, &cache, &dr, g_model);
-            }
-            loss / k as f64
+                preds[j] = dot(&r, table.rep(j));
+                (r, cache)
+            })
+            .collect();
+        let loss = item_loss(preds, targets, scale, inv_scale);
+        for (j, ((r, cache), &err)) in passes.iter().zip(preds.iter()).enumerate() {
+            axpy(inv_k * err, r, &mut g_table[j * dim..(j + 1) * dim]);
+            let mut dr = vec![0.0f32; dim];
+            axpy(inv_k * err, table.rep(j), &mut dr);
+            foundation.model.backward(buf, w, cache, &dr, g_model);
         }
-        // Representation reuse (or pure evaluation): one forward,
-        // shared by all k machines.
-        grads => {
-            let (r, cache) = foundation.model.forward(buf, w);
-            table.predict_all(&r, preds);
-            let mut loss = 0.0f64;
-            let inv_k = 2.0 / k as f32;
-            if let Some(grads) = grads {
-                let mut dr = vec![0.0f32; dim];
-                let (g_model, g_table) = grads.split_at_mut(model_len);
-                for j in 0..k {
-                    let err = preds[j] - targets[j] * scale * inv_scale[j];
-                    loss += (err * err) as f64;
-                    // dL/dM_j and the reused dL/dR contribution
-                    axpy(inv_k * err, &r, &mut g_table[j * dim..(j + 1) * dim]);
-                    axpy(inv_k * err, table.rep(j), &mut dr);
-                }
-                foundation.model.backward(buf, w, &cache, &dr, g_model);
-            } else {
-                for j in 0..k {
-                    let err = preds[j] - targets[j] * scale * inv_scale[j];
-                    loss += (err * err) as f64;
-                }
-            }
-            loss / k as f64
-        }
+        loss
     }
+}
+
+/// The loss of one item: turns its predictions `preds` into residuals
+/// against the normalized targets (`t_j * scale * inv_scale[j]`), in
+/// place, and returns their mean square over the k machines. Training
+/// (scalar and batched) and validation all score items here, so their
+/// losses agree bit for bit.
+fn item_loss(preds: &mut [f32], targets: &[f32], scale: f32, inv_scale: &[f32]) -> f64 {
+    let mut loss = 0.0f64;
+    for ((p, &t), &inv) in preds.iter_mut().zip(targets).zip(inv_scale) {
+        *p -= t * scale * inv;
+        loss += (*p * *p) as f64;
+    }
+    loss / preds.len() as f64
 }
 
 /// The batch-major twin of [`window_pass`] (reuse mode): one lane chunk
@@ -280,14 +283,11 @@ fn batched_chunk_pass(
         table.predict_all(r, &mut preds);
         let targets = data[p].targets.row(i);
         let dr = &mut douts[li * dim..(li + 1) * dim];
-        let mut item_loss = 0.0f64;
-        for j in 0..k {
-            let err = preds[j] - targets[j] * scale * inv_scale[j];
-            item_loss += (err * err) as f64;
+        loss += item_loss(&mut preds, targets, scale, inv_scale);
+        for (j, &err) in preds.iter().enumerate() {
             axpy(inv_k * err, r, &mut g_table[j * dim..(j + 1) * dim]);
             axpy(inv_k * err, table.rep(j), dr);
         }
-        loss += item_loss / k as f64;
     }
     foundation
         .model
@@ -434,7 +434,7 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
                         &inv_scale,
                         &mut buf,
                         &mut preds,
-                        Some(grads),
+                        grads,
                         model_len,
                         cfg.reuse,
                     )
@@ -553,6 +553,11 @@ pub fn column_scales(data: &[ProgramData], target_scale: f32) -> Vec<f32> {
 }
 
 /// Mean per-window validation loss (on normalized targets).
+///
+/// Each [`BatchStep`] lane chunk runs one batched forward pass; the
+/// per-item losses are summed in item order within a chunk and the
+/// chunk sums are reduced in chunk order, so the result does not depend
+/// on the core count.
 pub fn validation_loss(
     foundation: &Foundation,
     table: &MarchTable,
@@ -563,15 +568,20 @@ pub fn validation_loss(
     if items.is_empty() {
         return 0.0;
     }
-    let w = foundation.window();
     let k = table.k;
-    let (loss, _) = BatchStep::new().accumulate_items(items.len(), 0, |b, _| {
-        let (p, i) = items[b];
-        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+    let scale = foundation.target_scale;
+    let (loss, _) = BatchStep::new().accumulate(items.len(), 0, |range, _| {
+        let chunk = &items[range];
         let mut preds = vec![0.0f32; k];
-        window_pass(
-            foundation, table, &data[p], i, inv_scale, &mut buf, &mut preds, None, 0, true,
-        )
+        let mut loss = 0.0f64;
+        let windows = chunk.iter().map(|&(p, i)| (&data[p].features, i));
+        for_each_representation(foundation, chunk.len(), windows, |n, r| {
+            let (p, i) = chunk[n];
+            let targets = data[p].targets.row(i);
+            table.predict_all(r, &mut preds);
+            loss += item_loss(&mut preds, targets, scale, inv_scale);
+        });
+        loss
     });
     loss / items.len() as f64
 }
@@ -674,7 +684,7 @@ mod tests {
             &inv_scale,
             &mut buf,
             &mut preds,
-            Some(&mut g_reuse),
+            &mut g_reuse,
             model_len,
             true,
         );
@@ -686,7 +696,7 @@ mod tests {
             &inv_scale,
             &mut buf,
             &mut preds,
-            Some(&mut g_naive),
+            &mut g_naive,
             model_len,
             false,
         );
