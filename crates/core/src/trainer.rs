@@ -2,9 +2,9 @@
 //! representation table (Section IV).
 //!
 //! The gradient step is **batch-major by default**: each lane chunk of
-//! the minibatch runs one `forward_batch`/`backward_batch` pair, so the
-//! foundation's weight matrices are traversed once per timestep for the
-//! whole chunk on vectorizable batch-major kernels, while the chunk's
+//! the minibatch runs one batched forward/backward, so the foundation's
+//! weight matrices are traversed once per timestep for the whole chunk
+//! on vectorizable batch-major kernels, while the chunk's
 //! representations are still *reused* across all `k` microarchitectures
 //! (Section IV-B). The reuse × batch product is the training-cost win:
 //! per-step cost stays near-constant in `k` *and* is amortized across
@@ -14,6 +14,16 @@
 //! accumulate gradients through the same deterministic lane-chunk tree
 //! ([`BatchStep`]) and the batched kernels are bit-identical per
 //! sequence to the scalar passes.
+//!
+//! A one-chunk batch of a recurrent model (LSTM, GRU) uses a second
+//! core: `train_foundation` keeps one helper thread for the whole run
+//! ([`with_helper`]), and each step splits into two lane groups whose
+//! forward, scoring and BPTT deltas run side by side, followed by a
+//! parameter accumulation split by gradient rows. Every gradient entry
+//! still sums its terms in item order, so the checkpoint bytes do not
+//! depend on the core count (see `batched_chunk_pass`). The other
+//! architectures, and one-core processes, run the same step as one
+//! group.
 //!
 //! Orthogonally, two training *procedures* are implemented:
 //!
@@ -36,13 +46,15 @@ use crate::compose::for_each_representation;
 use crate::foundation::{ArchSpec, Foundation};
 use crate::march_table::MarchTable;
 use perfvec_ml::adam::Adam;
-use perfvec_ml::parallel::BatchStep;
+use perfvec_ml::parallel::{lane_split, with_helper, BatchStep, Helper};
 use perfvec_ml::schedule::StepDecay;
+use perfvec_ml::seq::{BatchCache, BatchDeltas, LaneGroup};
 use perfvec_ml::tensor::{axpy, dot};
 use perfvec_trace::{fill_window, ProgramData, NUM_FEATURES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -127,7 +139,8 @@ pub struct TrainReport {
     pub train_loss: Vec<f64>,
     /// Validation loss per epoch.
     pub val_loss: Vec<f64>,
-    /// Epoch whose parameters were kept (lowest validation loss).
+    /// Epoch whose parameters were kept: the lowest validation loss, or
+    /// the last epoch when there are no validation windows.
     pub best_epoch: u32,
     /// Wall-clock seconds spent in training.
     pub wall_seconds: f64,
@@ -239,25 +252,46 @@ fn item_loss(preds: &mut [f32], targets: &[f32], scale: f32, inv_scale: &[f32]) 
     loss / preds.len() as f64
 }
 
-/// The batch-major twin of [`window_pass`] (reuse mode): one lane chunk
-/// of windows through a single `forward_batch`/`backward_batch` pair,
-/// with each lane's representation reused across all `k` machines.
-///
-/// Accumulates exactly the gradients of per-item `window_pass` calls in
-/// item order — bit-identically: the batched forward/backward are
-/// bit-identical per sequence to the scalar passes, the table gradients
-/// and upstream `dR` are computed lane-by-lane in the scalar order, and
-/// the disjoint model/table gradient regions make the interleaving
-/// difference invisible.
-fn batched_chunk_pass(
+/// The model state a gradient step reads. A step shares it with its
+/// helper thread through an `Arc`; the trainer writes it only between
+/// steps, when the helper holds no reference.
+struct StepModel {
+    foundation: Foundation,
+    table: MarchTable,
+}
+
+/// One lane group of a batched step (reuse mode): its windows, forward
+/// activations, per-item residuals (`b x k`) and losses, and BPTT
+/// deltas.
+struct GroupPass {
+    xs: Vec<f32>,
+    reps: Vec<f32>,
+    cache: BatchCache,
+    resid: Vec<f32>,
+    losses: Vec<f64>,
+    deltas: BatchDeltas,
+}
+
+impl GroupPass {
+    fn lane_group(&self) -> LaneGroup<'_> {
+        LaneGroup {
+            xs: &self.xs,
+            cache: &self.cache,
+            deltas: &self.deltas,
+        }
+    }
+}
+
+/// Run one lane group's share of a step: one `forward_batch_cached`,
+/// each lane's representation reused across all `k` machines to score
+/// the item and form its upstream `dR`, then the BPTT deltas.
+fn group_pass(
     foundation: &Foundation,
     table: &MarchTable,
     data: &[ProgramData],
     items: &[Item],
     inv_scale: &[f32],
-    grads: &mut [f32],
-    model_len: usize,
-) -> f64 {
+) -> GroupPass {
     let w = foundation.window();
     let k = table.k;
     let dim = table.dim;
@@ -273,25 +307,120 @@ fn batched_chunk_pass(
         );
     }
     let (reps, cache) = foundation.model.forward_batch_cached(&xs, w, b);
+    let mut resid = vec![0.0f32; b * k];
+    let mut losses = Vec::with_capacity(b);
     let mut douts = vec![0.0f32; b * dim];
-    let mut preds = vec![0.0f32; k];
-    let mut loss = 0.0f64;
     let inv_k = 2.0 / k as f32;
-    let (g_model, g_table) = grads.split_at_mut(model_len);
     for (li, &(p, i)) in items.iter().enumerate() {
-        let r = &reps[li * dim..(li + 1) * dim];
-        table.predict_all(r, &mut preds);
-        let targets = data[p].targets.row(i);
+        let errs = &mut resid[li * k..(li + 1) * k];
+        table.predict_all(&reps[li * dim..(li + 1) * dim], errs);
+        losses.push(item_loss(errs, data[p].targets.row(i), scale, inv_scale));
         let dr = &mut douts[li * dim..(li + 1) * dim];
-        loss += item_loss(&mut preds, targets, scale, inv_scale);
-        for (j, &err) in preds.iter().enumerate() {
-            axpy(inv_k * err, r, &mut g_table[j * dim..(j + 1) * dim]);
+        for (j, &err) in errs.iter().enumerate() {
             axpy(inv_k * err, table.rep(j), dr);
         }
     }
-    foundation
-        .model
-        .backward_batch(&xs, w, b, &cache, &douts, g_model);
+    let deltas = foundation.model.backward_deltas(&cache, &douts);
+    GroupPass {
+        xs,
+        reps,
+        cache,
+        resid,
+        losses,
+        deltas,
+    }
+}
+
+/// The table-gradient pass over `groups`, serial in item order; returns
+/// the items' summed loss.
+fn table_pass(groups: &[GroupPass], table: &MarchTable, g_table: &mut [f32]) -> f64 {
+    let (k, dim) = (table.k, table.dim);
+    let inv_k = 2.0 / k as f32;
+    let mut loss = 0.0f64;
+    for g in groups {
+        for (li, &item_loss) in g.losses.iter().enumerate() {
+            loss += item_loss;
+            let r = &g.reps[li * dim..(li + 1) * dim];
+            for (j, &err) in g.resid[li * k..(li + 1) * k].iter().enumerate() {
+                axpy(inv_k * err, r, &mut g_table[j * dim..(j + 1) * dim]);
+            }
+        }
+    }
+    loss
+}
+
+/// The batch-major twin of [`window_pass`] (reuse mode) over one lane
+/// chunk of windows.
+///
+/// With a `helper` and a recurrent model, the chunk runs as two lane
+/// groups ([`lane_split`]): group 1's forward, scoring and deltas on the
+/// helper while group 0's run here; then the parameter accumulation
+/// split by gradient rows, part 1 on the helper (into its own copy of
+/// the model gradients, copied back after) while part 0 and the table
+/// pass run here. Otherwise the chunk is one group on this thread.
+///
+/// Accumulates exactly the gradients of per-item `window_pass` calls in
+/// item order, bit for bit, either way: the batched forward and deltas
+/// are bit-identical per sequence to the scalar passes, every model
+/// gradient entry sums its terms in item order through the groups in
+/// order, the table gradients and loss are summed in item order, and
+/// the disjoint model/table gradient regions make the interleaving
+/// difference invisible.
+fn batched_chunk_pass<'scope, 'env>(
+    model: &Arc<StepModel>,
+    data: &'env [ProgramData],
+    items: &[Item],
+    inv_scale: &'env [f32],
+    grads: &mut [f32],
+    model_len: usize,
+    helper: Option<&Helper<'scope, 'env>>,
+) -> f64 {
+    let StepModel { foundation, table } = &**model;
+    let seq = &foundation.model;
+    let w = foundation.window();
+    let (g_model, g_table) = grads.split_at_mut(model_len);
+    let split = helper
+        .zip(lane_split(items.len()))
+        .filter(|_| seq.splits_backward());
+    let Some((helper, mid)) = split else {
+        let g = group_pass(foundation, table, data, items, inv_scale);
+        seq.accumulate_grads(w, &[g.lane_group()], 0, 1, g_model);
+        return table_pass(std::slice::from_ref(&g), table, g_table);
+    };
+    let (remote, remote_items) = (Arc::clone(model), items[mid..].to_vec());
+    let (g0, g1) = helper.join(
+        move || {
+            group_pass(
+                &remote.foundation,
+                &remote.table,
+                data,
+                &remote_items,
+                inv_scale,
+            )
+        },
+        || group_pass(foundation, table, data, &items[..mid], inv_scale),
+    );
+    let groups = Arc::new([g0, g1]);
+    let (remote, remote_groups) = (Arc::clone(model), Arc::clone(&groups));
+    let mut part1 = g_model.to_vec();
+    let (loss, part1) = helper.join(
+        move || {
+            let lanes = remote_groups.each_ref().map(GroupPass::lane_group);
+            remote
+                .foundation
+                .model
+                .accumulate_grads(w, &lanes, 1, 2, &mut part1);
+            part1
+        },
+        || {
+            let lanes = groups.each_ref().map(GroupPass::lane_group);
+            seq.accumulate_grads(w, &lanes, 0, 2, g_model);
+            table_pass(&groups[..], table, g_table)
+        },
+    );
+    for r in seq.grad_part_ranges(1, 2) {
+        g_model[r.clone()].copy_from_slice(&part1[r]);
+    }
     loss
 }
 
@@ -398,117 +527,143 @@ pub fn train_foundation(data: &[ProgramData], cfg: &TrainConfig) -> TrainedFound
     // The naive (no-reuse) ablation has no batched form: it exists to
     // measure the per-(window, machine) cost the paper optimizes away.
     let use_batched = cfg.batched && cfg.reuse;
-    for epoch in start_epoch..cfg.epochs {
-        let lr = cfg.schedule.lr(epoch);
-        // Sample this epoch's windows.
-        let mut epoch_items: Vec<Item> = Vec::with_capacity(cfg.windows_per_epoch);
-        for _ in 0..cfg.windows_per_epoch {
-            epoch_items.push(train_items[rand::Rng::gen_range(&mut rng, 0..train_items.len())]);
-        }
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for batch in epoch_items.chunks(cfg.batch_size) {
-            let t_step = std::time::Instant::now();
-            let (loss, grads) = if use_batched {
-                step.accumulate(batch.len(), total_len, |range, grads| {
-                    batched_chunk_pass(
-                        &foundation,
-                        &table,
-                        data,
-                        &batch[range],
-                        &inv_scale,
-                        grads,
-                        model_len,
-                    )
-                })
-            } else {
-                step.accumulate_items(batch.len(), total_len, |b, grads| {
-                    let (p, i) = batch[b];
-                    let mut buf = vec![0.0f32; w * NUM_FEATURES];
-                    let mut preds = vec![0.0f32; k];
-                    window_pass(
-                        &foundation,
-                        &table,
-                        &data[p],
-                        i,
-                        &inv_scale,
-                        &mut buf,
-                        &mut preds,
-                        grads,
-                        model_len,
-                        cfg.reuse,
-                    )
-                })
-            };
-            // Mean over the batch, then optional global-norm clipping.
-            let inv = 1.0 / batch.len() as f32;
-            let mut mean_grads: Vec<f32> = grads.iter().map(|g| g * inv).collect();
-            if let Some(max_norm) = cfg.clip_norm {
-                let norm = mean_grads
-                    .iter()
-                    .map(|g| (*g as f64) * (*g as f64))
-                    .sum::<f64>()
-                    .sqrt() as f32;
-                if norm > max_norm {
-                    let s = max_norm / norm;
-                    for g in &mut mean_grads {
-                        *g *= s;
+    let mut state = Arc::new(StepModel { foundation, table });
+    // One helper thread for the whole run (none on a one-core machine).
+    with_helper(|helper| {
+        for epoch in start_epoch..cfg.epochs {
+            let lr = cfg.schedule.lr(epoch);
+            // Sample this epoch's windows.
+            let mut epoch_items: Vec<Item> = Vec::with_capacity(cfg.windows_per_epoch);
+            for _ in 0..cfg.windows_per_epoch {
+                epoch_items.push(train_items[rand::Rng::gen_range(&mut rng, 0..train_items.len())]);
+            }
+            let mut epoch_loss = 0.0f64;
+            let mut batches = 0usize;
+            for batch in epoch_items.chunks(cfg.batch_size) {
+                let t_step = std::time::Instant::now();
+                let (loss, grads) = if use_batched {
+                    // Lane groups only for a one-chunk batch: a wider
+                    // batch already spreads its chunks over the cores.
+                    let helper = helper.filter(|_| batch.len() <= step.lane());
+                    step.accumulate(batch.len(), total_len, |range, grads| {
+                        batched_chunk_pass(
+                            &state,
+                            data,
+                            &batch[range],
+                            &inv_scale,
+                            grads,
+                            model_len,
+                            helper,
+                        )
+                    })
+                } else {
+                    let StepModel { foundation, table } = &*state;
+                    step.accumulate_items(batch.len(), total_len, |b, grads| {
+                        let (p, i) = batch[b];
+                        let mut buf = vec![0.0f32; w * NUM_FEATURES];
+                        let mut preds = vec![0.0f32; k];
+                        window_pass(
+                            foundation, table, &data[p], i, &inv_scale, &mut buf, &mut preds,
+                            grads, model_len, cfg.reuse,
+                        )
+                    })
+                };
+                // Mean over the batch, then optional global-norm clipping.
+                let inv = 1.0 / batch.len() as f32;
+                let mut mean_grads: Vec<f32> = grads.iter().map(|g| g * inv).collect();
+                if let Some(max_norm) = cfg.clip_norm {
+                    let norm = mean_grads
+                        .iter()
+                        .map(|g| (*g as f64) * (*g as f64))
+                        .sum::<f64>()
+                        .sqrt() as f32;
+                    if norm > max_norm {
+                        let s = max_norm / norm;
+                        for g in &mut mean_grads {
+                            *g *= s;
+                        }
                     }
                 }
+                opt.step(&mut params, &mean_grads, lr);
+                let st = Arc::get_mut(&mut state).expect("no step job outlives its step");
+                st.foundation.model.set_params(&params[..model_len]);
+                st.table.reps.copy_from_slice(&params[model_len..]);
+                epoch_loss += loss / batch.len() as f64;
+                batches += 1;
+                let dt = t_step.elapsed();
+                step_hist.record(dt.as_micros() as u64);
+                step_secs += dt.as_secs_f64();
+                steps_taken += 1;
             }
-            opt.step(&mut params, &mean_grads, lr);
-            foundation.model.set_params(&params[..model_len]);
-            table.reps.copy_from_slice(&params[model_len..]);
-            epoch_loss += loss / batch.len() as f64;
-            batches += 1;
-            let dt = t_step.elapsed();
-            step_hist.record(dt.as_micros() as u64);
-            step_secs += dt.as_secs_f64();
-            steps_taken += 1;
-        }
-        report.train_loss.push(epoch_loss / batches.max(1) as f64);
+            report.train_loss.push(epoch_loss / batches.max(1) as f64);
 
-        // Validation.
-        let val_loss = validation_loss(&foundation, &table, data, &val_items, &inv_scale);
-        report.val_loss.push(val_loss);
-        if val_loss < best_val {
-            best_val = val_loss;
-            best_params = params.clone();
-            report.best_epoch = epoch;
-        }
+            // Validation, on this thread and the helper when there is
+            // one (same chunks and sums as `validation_loss`). With no
+            // validation windows every epoch scores 0.0, so the last
+            // epoch is kept.
+            let val_loss = match helper {
+                Some(h) if !val_items.is_empty() => {
+                    let (val_items, inv_scale) = (&val_items[..], &inv_scale[..]);
+                    let (loss, _) =
+                        step.accumulate_with(h, &state, val_items.len(), 0, move |st, range, _| {
+                            let chunk = &val_items[range];
+                            validation_chunk_loss(&st.foundation, &st.table, data, chunk, inv_scale)
+                        });
+                    loss / val_items.len() as f64
+                }
+                _ => validation_loss(
+                    &state.foundation,
+                    &state.table,
+                    data,
+                    &val_items,
+                    &inv_scale,
+                ),
+            };
+            report.val_loss.push(val_loss);
+            if val_items.is_empty() || val_loss < best_val {
+                best_val = val_loss;
+                best_params = params.clone();
+                report.best_epoch = epoch;
+            }
 
-        // Epoch snapshot (end-of-epoch state: next run continues at
-        // `epoch + 1` with the RNG exactly where it stands now).
-        if let Some(every) = cfg.snapshot_every {
-            if every > 0 && (epoch + 1) % every == 0 {
-                let path = cfg
-                    .snapshot_path
-                    .as_ref()
-                    .expect("snapshot_every requires snapshot_path");
-                let (m, v, t) = opt.state();
-                let mut snap_foundation =
-                    Foundation::new(cfg.arch, cfg.context, cfg.target_scale, 0);
-                snap_foundation.model.set_params(&params[..model_len]);
-                let snap = crate::checkpoint::TrainSnapshot {
-                    foundation: snap_foundation,
-                    spec: cfg.arch,
-                    table: MarchTable::from_rows(k, cfg.arch.dim, params[model_len..].to_vec()),
-                    next_epoch: epoch + 1,
-                    adam_m: m.to_vec(),
-                    adam_v: v.to_vec(),
-                    adam_t: t,
-                    rng_state: rng.state(),
-                    best_val,
-                    best_params: best_params.clone(),
-                    best_epoch: report.best_epoch,
-                    train_loss: report.train_loss.clone(),
-                    val_loss: report.val_loss.clone(),
-                };
-                crate::checkpoint::save_snapshot(&snap, path)
-                    .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
+            // Epoch snapshot (end-of-epoch state: next run continues at
+            // `epoch + 1` with the RNG exactly where it stands now).
+            if let Some(every) = cfg.snapshot_every {
+                if every > 0 && (epoch + 1) % every == 0 {
+                    let path = cfg
+                        .snapshot_path
+                        .as_ref()
+                        .expect("snapshot_every requires snapshot_path");
+                    let (m, v, t) = opt.state();
+                    let mut snap_foundation =
+                        Foundation::new(cfg.arch, cfg.context, cfg.target_scale, 0);
+                    snap_foundation.model.set_params(&params[..model_len]);
+                    let snap = crate::checkpoint::TrainSnapshot {
+                        foundation: snap_foundation,
+                        spec: cfg.arch,
+                        table: MarchTable::from_rows(k, cfg.arch.dim, params[model_len..].to_vec()),
+                        next_epoch: epoch + 1,
+                        adam_m: m.to_vec(),
+                        adam_v: v.to_vec(),
+                        adam_t: t,
+                        rng_state: rng.state(),
+                        best_val,
+                        best_params: best_params.clone(),
+                        best_epoch: report.best_epoch,
+                        train_loss: report.train_loss.clone(),
+                        val_loss: report.val_loss.clone(),
+                    };
+                    crate::checkpoint::save_snapshot(&snap, path).unwrap_or_else(|e| {
+                        panic!("cannot write snapshot {}: {e}", path.display())
+                    });
+                }
             }
         }
-    }
+    });
+    let StepModel {
+        mut foundation,
+        mut table,
+    } = Arc::into_inner(state).expect("the helper thread has exited");
 
     foundation.model.set_params(&best_params[..model_len]);
     table.reps.copy_from_slice(&best_params[model_len..]);
@@ -568,22 +723,31 @@ pub fn validation_loss(
     if items.is_empty() {
         return 0.0;
     }
-    let k = table.k;
-    let scale = foundation.target_scale;
     let (loss, _) = BatchStep::new().accumulate(items.len(), 0, |range, _| {
-        let chunk = &items[range];
-        let mut preds = vec![0.0f32; k];
-        let mut loss = 0.0f64;
-        let windows = chunk.iter().map(|&(p, i)| (&data[p].features, i));
-        for_each_representation(foundation, chunk.len(), windows, |n, r| {
-            let (p, i) = chunk[n];
-            let targets = data[p].targets.row(i);
-            table.predict_all(r, &mut preds);
-            loss += item_loss(&mut preds, targets, scale, inv_scale);
-        });
-        loss
+        validation_chunk_loss(foundation, table, data, &items[range], inv_scale)
     });
     loss / items.len() as f64
+}
+
+/// One validation lane chunk's summed loss, in item order.
+fn validation_chunk_loss(
+    foundation: &Foundation,
+    table: &MarchTable,
+    data: &[ProgramData],
+    chunk: &[Item],
+    inv_scale: &[f32],
+) -> f64 {
+    let scale = foundation.target_scale;
+    let mut preds = vec![0.0f32; table.k];
+    let mut loss = 0.0f64;
+    let windows = chunk.iter().map(|&(p, i)| (&data[p].features, i));
+    for_each_representation(foundation, chunk.len(), windows, |n, r| {
+        let (p, i) = chunk[n];
+        let targets = data[p].targets.row(i);
+        table.predict_all(r, &mut preds);
+        loss += item_loss(&mut preds, targets, scale, inv_scale);
+    });
+    loss
 }
 
 #[cfg(test)]
@@ -713,6 +877,35 @@ mod tests {
         let best = trained.report.best_epoch as usize;
         let v = &trained.report.val_loss;
         assert_eq!(v.iter().cloned().fold(f64::INFINITY, f64::min), v[best]);
+    }
+
+    /// With no validation windows every epoch scores the same 0.0, so
+    /// the trainer must keep the last epoch, not epoch 0.
+    #[test]
+    fn without_validation_windows_the_last_epoch_is_kept() {
+        let data = tiny_dataset();
+        let dir = std::env::temp_dir().join("perfvec_no_val_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap_path = dir.join("last.pfs");
+        let mut cfg = tiny_cfg();
+        cfg.epochs = 3;
+        cfg.val_windows = 0;
+        cfg.snapshot_every = Some(3);
+        cfg.snapshot_path = Some(snap_path.clone());
+        let trained = train_foundation(&data, &cfg);
+        assert_eq!(trained.report.best_epoch, 2);
+        assert_eq!(trained.report.val_loss, vec![0.0; 3]);
+        // The snapshot holds the parameters at the end of epoch 3.
+        let last = crate::checkpoint::load_snapshot(&snap_path).unwrap();
+        std::fs::remove_file(&snap_path).ok();
+        assert_eq!(
+            trained.foundation.model.get_params(),
+            last.foundation.model.get_params()
+        );
+        assert_eq!(
+            last.best_params[..trained.foundation.model.num_params()],
+            last.foundation.model.get_params()[..]
+        );
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! architectures).
 
 use crate::init::seeded_rng;
+use crate::parallel::part_range;
+use std::ops::Range;
 // Fast activations by design: scalar and batched paths share the same
 // straight-line-arithmetic functions so batched inference stays
 // bit-identical to scalar inference while its inner loops vectorize
 // (see `tensor::tanh_apx`).
-use crate::tensor::{for_lane_chunks, BatchInput};
 use crate::tensor::{
-    gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, sigmoid_apx, tanh_apx,
+    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_terms,
+    sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
 };
 
 /// Shape of one GRU layer.
@@ -297,6 +299,28 @@ pub struct GruLayerBatchCache {
     pub hs: Vec<f32>,
 }
 
+/// Every layer's BPTT deltas for one lane group, from
+/// [`Gru::deltas_batch`].
+#[derive(Debug, Clone)]
+pub struct GruBatchDeltas {
+    /// Per layer, `T x 3h x batch` pre-activation deltas.
+    dzs: Vec<Vec<f32>>,
+    /// Per layer, `T x h x batch` candidate-gate recurrent deltas.
+    dn_uns: Vec<Vec<f32>>,
+}
+
+/// One lane group's view for [`Gru::accumulate_batch`]: the group's
+/// sequence-major windows, forward cache and deltas.
+#[derive(Clone, Copy)]
+pub struct GruGroup<'a> {
+    /// Sequence-major `batch x T x in_dim` windows.
+    pub xs: &'a [f32],
+    /// The group's forward cache.
+    pub cache: &'a GruBatchCache,
+    /// The group's deltas.
+    pub deltas: &'a GruBatchDeltas,
+}
+
 /// Forward cache for [`Gru::forward_batch_cached`].
 #[derive(Debug, Clone)]
 pub struct GruBatchCache {
@@ -317,11 +341,30 @@ impl GruBatchCache {
     }
 }
 
+/// One lane group's share of a GRU layer's parameter accumulation (see
+/// [`crate::lstm::LstmLayerGroup`]).
+pub struct GruLayerGroup<'a> {
+    /// The layer's input (`x_t` per step).
+    pub x: BatchInput<'a>,
+    /// The layer's batch-major forward activations.
+    pub cache: &'a GruLayerBatchCache,
+    /// `T x 3h x batch` pre-activation deltas from
+    /// [`GruLayerShape::deltas_batch`].
+    pub dzs: &'a [f32],
+    /// `T x h x batch` candidate-gate recurrent deltas (the gradient
+    /// w.r.t. `U_n h_{t-1}`).
+    pub dn_uns: &'a [f32],
+    /// Sequences in the group.
+    pub batch: usize,
+}
+
 impl GruLayerShape {
     /// Batch-major full-sequence backward over a [`GruLayerBatchCache`]
     /// (the lockstep mirror of [`GruLayerShape::backward`]; same
     /// bit-identity contract as
-    /// [`crate::lstm::LstmLayerShape::backward_batch`]).
+    /// [`crate::lstm::LstmLayerShape::backward_batch`]): the one-group
+    /// composition of [`GruLayerShape::deltas_batch`] and
+    /// [`GruLayerShape::accumulate_batch`].
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -335,21 +378,53 @@ impl GruLayerShape {
         dxs: &mut [f32],
     ) {
         let h = self.hidden;
+        let mut dzs = vec![0.0f32; t_steps * 3 * h * batch];
+        let mut dn_uns = vec![0.0f32; t_steps * h * batch];
+        self.deltas_batch(
+            w,
+            t_steps,
+            batch,
+            cache,
+            dh,
+            &mut dzs,
+            &mut dn_uns,
+            Some(dxs),
+        );
+        let group = GruLayerGroup {
+            x: *x,
+            cache,
+            dzs: &dzs,
+            dn_uns: &dn_uns,
+            batch,
+        };
+        self.accumulate_batch(&[group], t_steps, 0..3 * h, grads);
+    }
+
+    /// The BPTT delta recursion of [`GruLayerShape::backward_batch`]:
+    /// writes every timestep's pre-activation deltas to `dzs`
+    /// (`T x 3h x batch`), the candidate-gate recurrent deltas to
+    /// `dn_uns` (`T x h x batch`) and, when `dxs` is given, the input
+    /// gradients (`T x in x batch`). `dh` is consumed in place.
+    #[allow(clippy::too_many_arguments)]
+    pub fn deltas_batch(
+        &self,
+        w: &[f32],
+        t_steps: usize,
+        batch: usize,
+        cache: &GruLayerBatchCache,
+        dh: &mut [f32],
+        dzs: &mut [f32],
+        dn_uns: &mut [f32],
+        mut dxs: Option<&mut [f32]>,
+    ) {
+        let h = self.hidden;
         let i_dim = self.in_dim;
         let (w_ih, w_hh, _) = self.split(w);
         let (w_hr, rest) = w_hh.split_at(h * h);
         let (w_hz, w_hn) = rest.split_at(h * h);
-        let (g_ih, rest_g) = grads.split_at_mut(3 * h * i_dim);
-        let (g_hh, g_b) = rest_g.split_at_mut(3 * h * h);
-        let (g_hr, rest_g2) = g_hh.split_at_mut(h * h);
-        let (g_hz, g_hn) = rest_g2.split_at_mut(h * h);
-
+        debug_assert_eq!(dzs.len(), t_steps * 3 * h * batch);
+        debug_assert_eq!(dn_uns.len(), t_steps * h * batch);
         let mut dh_rec = vec![0.0f32; h * batch];
-        // All timesteps' pre-activation deltas and candidate-gate
-        // recurrent deltas, batch-major, for the canonical parameter
-        // accumulation below.
-        let mut dzs = vec![0.0f32; t_steps * 3 * h * batch];
-        let mut dn_uns = vec![0.0f32; t_steps * h * batch];
         let zero_row = vec![0.0f32; batch];
         for t in (0..t_steps).rev() {
             let gates = &cache.gates[t * 3 * h * batch..(t + 1) * 3 * h * batch];
@@ -394,14 +469,17 @@ impl GruLayerShape {
                 ));
             }
             let dz = &dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-            gemm_bm_t_acc(
-                w_ih,
-                dz,
-                &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
-                3 * h,
-                i_dim,
-                batch,
-            );
+            let dn_un = &dn_uns[t * h * batch..(t + 1) * h * batch];
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemm_bm_t_acc(
+                    w_ih,
+                    dz,
+                    &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
+                    3 * h,
+                    i_dim,
+                    batch,
+                );
+            }
             // dh_rec feeds step t-1, so the recurrent products are dead
             // work at t == 0 (the scalar backward computes them anyway,
             // but never reads them — skipping is parity-safe).
@@ -418,42 +496,93 @@ impl GruLayerShape {
                 gemm_bm_t_acc(w_hn, dn_un, &mut dh_rec, h, h, batch);
             }
         }
-        // Canonical parameter accumulation: per sequence (ascending),
-        // per timestep (descending), exactly the scalar path's rank-1
-        // updates and bias adds (h_prev is the zero vector at t = 0,
-        // matching the scalar backward).
-        let mut dz_s = vec![0.0f32; 3 * h];
-        let mut dn_s = vec![0.0f32; h];
-        let mut x_s = vec![0.0f32; i_dim];
-        let mut hp_s = vec![0.0f32; h];
-        for s in 0..batch {
-            for t in (0..t_steps).rev() {
-                let dz = &dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
-                for (r, d) in dz_s.iter_mut().enumerate() {
-                    *d = dz[r * batch + s];
-                }
-                let dn = &dn_uns[t * h * batch..(t + 1) * h * batch];
-                for (k, d) in dn_s.iter_mut().enumerate() {
-                    *d = dn[k * batch + s];
-                }
-                if t == 0 {
-                    hp_s.fill(0.0);
-                } else {
-                    let hs = &cache.hs[(t - 1) * h * batch..t * h * batch];
-                    for (k, hp) in hp_s.iter_mut().enumerate() {
-                        *hp = hs[k * batch + s];
-                    }
-                }
-                x.gather(t, s, t_steps, batch, &mut x_s);
-                outer_acc(g_ih, &dz_s, &x_s);
-                for (g, &d) in g_b.iter_mut().zip(&dz_s) {
-                    *g += d;
-                }
-                outer_acc(g_hr, &dz_s[..h], &hp_s);
-                outer_acc(g_hz, &dz_s[h..2 * h], &hp_s);
-                outer_acc(g_hn, &dn_s, &hp_s);
-            }
+    }
+
+    /// Canonical parameter accumulation of gate rows `rows` (of `3h`)
+    /// over `groups`: per sequence (ascending, through the groups in
+    /// order), per timestep (descending), exactly the scalar path's
+    /// rank-1 updates ([`outer_acc`], zero-delta skip included) and
+    /// bias adds, restricted to those rows' entries of `W_ih`, `W_hh`
+    /// and `b`. `W_hh` rows `r, z` take the gate deltas, rows `n` the
+    /// candidate-gate recurrent deltas, and `h_prev` is the zero vector
+    /// at `t = 0`, matching the scalar backward. Same contract as
+    /// [`crate::lstm::LstmLayerShape::accumulate_batch`].
+    pub fn accumulate_batch(
+        &self,
+        groups: &[GruLayerGroup<'_>],
+        t_steps: usize,
+        rows: Range<usize>,
+        grads: &mut [f32],
+    ) {
+        if rows.is_empty() {
+            return;
         }
+        let h = self.hidden;
+        let i_dim = self.in_dim;
+        let n_rows = rows.len();
+        let (g_ih, rest) = grads.split_at_mut(3 * h * i_dim);
+        let (g_hh, g_b) = rest.split_at_mut(3 * h * h);
+        let g_ih = &mut g_ih[rows.start * i_dim..rows.end * i_dim];
+        let g_hh = &mut g_hh[rows.start * h..rows.end * h];
+        let g_b = &mut g_b[rows.clone()];
+        let mut terms = groups.iter().flat_map(|g| {
+            (0..g.batch).flat_map(move |s| (0..t_steps).rev().map(move |t| (g, s, t)))
+        });
+        // Up to `TERM_CHUNK` terms' deltas, inputs and previous hidden
+        // states at a time; chunks are applied in term order.
+        let (mut dz, mut dz_hh) = (Vec::new(), Vec::new());
+        let (mut xs, mut hps) = (Vec::new(), Vec::new());
+        loop {
+            dz.clear();
+            dz_hh.clear();
+            xs.clear();
+            hps.clear();
+            for (g, s, t) in terms.by_ref().take(TERM_CHUNK) {
+                let batch = g.batch;
+                let dz_t = &g.dzs[t * 3 * h * batch..(t + 1) * 3 * h * batch];
+                let dn_t = &g.dn_uns[t * h * batch..(t + 1) * h * batch];
+                dz.extend(rows.clone().map(|r| dz_t[r * batch + s]));
+                dz_hh.extend(rows.clone().map(|r| {
+                    if r < 2 * h {
+                        dz_t[r * batch + s]
+                    } else {
+                        dn_t[(r - 2 * h) * batch + s]
+                    }
+                }));
+                let x_at = xs.len();
+                xs.resize(x_at + i_dim, 0.0);
+                g.x.gather(t, s, t_steps, batch, &mut xs[x_at..]);
+                if t == 0 {
+                    hps.resize(hps.len() + h, 0.0);
+                } else {
+                    let hs = &g.cache.hs[(t - 1) * h * batch..t * h * batch];
+                    hps.extend((0..h).map(|k| hs[k * batch + s]));
+                }
+            }
+            if dz.is_empty() {
+                return;
+            }
+            for term in dz.chunks_exact(n_rows) {
+                for (gb, &d) in g_b.iter_mut().zip(term) {
+                    *gb += d;
+                }
+            }
+            outer_acc_terms(g_ih, &dz, &xs, n_rows, i_dim);
+            outer_acc_terms(g_hh, &dz_hh, &hps, n_rows, h);
+        }
+    }
+
+    /// The flat ranges of this layer's parameter vector that gate rows
+    /// `rows` cover (in `W_ih`, `W_hh` and `b`), offset by `off`.
+    fn row_ranges(&self, rows: Range<usize>, off: usize) -> [Range<usize>; 3] {
+        let (h, i) = (self.hidden, self.in_dim);
+        let hh = off + 3 * h * i;
+        let b = hh + 3 * h * h;
+        [
+            off + rows.start * i..off + rows.end * i,
+            hh + rows.start * h..hh + rows.end * h,
+            b + rows.start..b + rows.end,
+        ]
     }
 }
 
@@ -787,7 +916,8 @@ impl Gru {
     /// Batch-major BPTT from per-sequence gradients `douts`
     /// (sequence-major `batch x hidden`); accumulates into `grads`,
     /// bit-identically to running the scalar [`Gru::backward`] once per
-    /// sequence in batch order.
+    /// sequence in batch order. The one-group composition of
+    /// [`Gru::deltas_batch`] and [`Gru::accumulate_batch`].
     pub fn backward_batch(
         &self,
         xs: &[f32],
@@ -795,6 +925,19 @@ impl Gru {
         douts: &[f32],
         grads: &mut [f32],
     ) {
+        let deltas = self.deltas_batch(cache, douts);
+        let group = GruGroup {
+            xs,
+            cache,
+            deltas: &deltas,
+        };
+        self.accumulate_batch(&[group], 0, 1, grads);
+    }
+
+    /// The BPTT delta recursion of every layer, top down, from
+    /// per-sequence gradients `douts` (sequence-major `batch x hidden`).
+    /// Layer 0's input gradient is never formed: nothing consumes it.
+    pub fn deltas_batch(&self, cache: &GruBatchCache, douts: &[f32]) -> GruBatchDeltas {
         let t = cache.t_steps;
         let batch = cache.batch;
         let top = self.layers.len() - 1;
@@ -807,33 +950,88 @@ impl Gru {
                 last[k * batch + s] = douts[s * h_top + k];
             }
         }
-        let mut ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            ends.push(acc);
-        }
+        let mut dzs: Vec<Vec<f32>> = vec![Vec::new(); self.layers.len()];
+        let mut dn_uns: Vec<Vec<f32>> = vec![Vec::new(); self.layers.len()];
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
-            let x = if l == 0 {
-                BatchInput::Seq(xs)
-            } else {
-                BatchInput::Bm(&cache.layer_caches[l - 1].hs)
-            };
-            let mut dxs = vec![0.0f32; t * shape.in_dim * batch];
-            let start = ends[l] - shape.param_len();
-            shape.backward_batch(
+            let h = shape.hidden;
+            let mut dz = vec![0.0f32; t * 3 * h * batch];
+            let mut dn_un = vec![0.0f32; t * h * batch];
+            let mut dxs = (l > 0).then(|| vec![0.0f32; t * shape.in_dim * batch]);
+            shape.deltas_batch(
                 self.layer_param(l),
-                &x,
                 t,
                 batch,
                 &cache.layer_caches[l],
                 &mut dh,
-                &mut grads[start..ends[l]],
-                &mut dxs,
+                &mut dz,
+                &mut dn_un,
+                dxs.as_deref_mut(),
             );
-            dh = dxs;
+            dzs[l] = dz;
+            dn_uns[l] = dn_un;
+            if let Some(dxs) = dxs {
+                dh = dxs;
+            }
         }
+        GruBatchDeltas { dzs, dn_uns }
+    }
+
+    /// Accumulate part `part` of `parts` of the parameter gradients over
+    /// the lane `groups`, in group order, into `grads` (same contract as
+    /// [`crate::lstm::Lstm::accumulate_batch`], over each layer's `3h`
+    /// gate rows).
+    pub fn accumulate_batch(
+        &self,
+        groups: &[GruGroup<'_>],
+        part: usize,
+        parts: usize,
+        grads: &mut [f32],
+    ) {
+        let Some(first) = groups.first() else {
+            return;
+        };
+        let t = first.cache.t_steps;
+        let mut off = 0;
+        for (l, shape) in self.layers.iter().enumerate() {
+            let layer_groups: Vec<GruLayerGroup<'_>> = groups
+                .iter()
+                .map(|g| {
+                    debug_assert_eq!(g.cache.t_steps, t);
+                    GruLayerGroup {
+                        x: if l == 0 {
+                            BatchInput::Seq(g.xs)
+                        } else {
+                            BatchInput::Bm(&g.cache.layer_caches[l - 1].hs)
+                        },
+                        cache: &g.cache.layer_caches[l],
+                        dzs: &g.deltas.dzs[l],
+                        dn_uns: &g.deltas.dn_uns[l],
+                        batch: g.cache.batch,
+                    }
+                })
+                .collect();
+            let rows = part_range(3 * shape.hidden, part, parts);
+            shape.accumulate_batch(
+                &layer_groups,
+                t,
+                rows,
+                &mut grads[off..off + shape.param_len()],
+            );
+            off += shape.param_len();
+        }
+    }
+
+    /// The flat ranges of the parameter vector that part `part` of
+    /// `parts` of [`Gru::accumulate_batch`] writes.
+    pub fn grad_part_ranges(&self, part: usize, parts: usize) -> Vec<Range<usize>> {
+        let mut ranges = Vec::with_capacity(3 * self.layers.len());
+        let mut off = 0;
+        for shape in &self.layers {
+            ranges.extend(shape.row_ranges(part_range(3 * shape.hidden, part, parts), off));
+            off += shape.param_len();
+        }
+        ranges
     }
 
     /// Backward from `dout` (gradient w.r.t. the final hidden vector).

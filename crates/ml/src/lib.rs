@@ -9,8 +9,11 @@
 //! ([`seq::SeqModel`]) with batch-major batched forward *and* backward
 //! (`forward_batch`/[`seq::SeqModel::backward_batch`], bit-identical per
 //! sequence to the scalar passes), Adam with the paper's step-decay
-//! schedule, MSE loss, and deterministic lane-chunked gradient
-//! parallelism ([`parallel::BatchStep`]).
+//! schedule, MSE loss, and deterministic gradient parallelism: lane
+//! chunks across cores ([`parallel::BatchStep`]), and for the recurrent
+//! models two lane groups whose parameter accumulation splits by
+//! gradient rows ([`seq::SeqModel::accumulate_grads`]) on a persistent
+//! helper thread ([`parallel::with_helper`]).
 //!
 //! ```
 //! use perfvec_ml::seq::SeqModel;

@@ -5,14 +5,16 @@
 //! streaming step (fast trace-wide representation generation).
 
 use crate::init::seeded_rng;
+use crate::parallel::part_range;
+use std::ops::Range;
 // The fast activations are deliberate: every path (scalar step,
 // full-sequence forward, batched forward, backward's cell-tanh
 // recomputation) must call the *same* straight-line-arithmetic
 // functions so batched inference stays bit-identical to scalar
 // inference while its inner loops vectorize (see `tensor::tanh_apx`).
 use crate::tensor::{
-    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, sigmoid_apx,
-    tanh_apx, BatchInput,
+    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_terms,
+    sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
 };
 
 /// Shape of one LSTM layer with input size `in_dim` and hidden size `h`.
@@ -326,6 +328,26 @@ pub struct LstmLayerBatchCache {
     pub hs: Vec<f32>,
 }
 
+/// Every layer's BPTT deltas for one lane group, from
+/// [`Lstm::deltas_batch`].
+#[derive(Debug, Clone)]
+pub struct LstmBatchDeltas {
+    /// Per layer, `T x 4h x batch` pre-activation deltas.
+    dzs: Vec<Vec<f32>>,
+}
+
+/// One lane group's view for [`Lstm::accumulate_batch`]: the group's
+/// sequence-major windows, forward cache and deltas.
+#[derive(Clone, Copy)]
+pub struct LstmGroup<'a> {
+    /// Sequence-major `batch x T x in_dim` windows.
+    pub xs: &'a [f32],
+    /// The group's forward cache.
+    pub cache: &'a LstmBatchCache,
+    /// The group's deltas.
+    pub deltas: &'a LstmBatchDeltas,
+}
+
 /// Forward cache for [`Lstm::forward_batch_cached`].
 #[derive(Debug, Clone)]
 pub struct LstmBatchCache {
@@ -346,17 +368,31 @@ impl LstmBatchCache {
     }
 }
 
+/// One lane group's share of an LSTM layer's parameter accumulation:
+/// the layer's input, its forward activations and its BPTT deltas, all
+/// for the same `batch` sequences.
+pub struct LstmLayerGroup<'a> {
+    /// The layer's input (`x_t` per step).
+    pub x: BatchInput<'a>,
+    /// The layer's batch-major forward activations.
+    pub cache: &'a LstmLayerBatchCache,
+    /// `T x 4h x batch` pre-activation deltas from
+    /// [`LstmLayerShape::deltas_batch`].
+    pub dzs: &'a [f32],
+    /// Sequences in the group.
+    pub batch: usize,
+}
+
 impl LstmLayerShape {
     /// Batch-major full-sequence backward over a [`LstmLayerBatchCache`]
-    /// (the lockstep mirror of [`LstmLayerShape::backward`]).
+    /// (the lockstep mirror of [`LstmLayerShape::backward`]): the
+    /// one-group composition of [`LstmLayerShape::deltas_batch`] and
+    /// [`LstmLayerShape::accumulate_batch`].
     ///
     /// `dh` is `T x h x batch` (consumed in place); input gradients go
-    /// to `dxs` (`T x in x batch`). Lane deltas follow the scalar
-    /// operation sequence exactly, and parameter gradients are
-    /// accumulated *after* the timestep recursion in the scalar path's
-    /// order — sequence-ascending, timestep-descending, through the
-    /// same [`outer_acc`] — so the accumulated `grads` are bit-identical
-    /// to running the scalar backward per sequence in batch order.
+    /// to `dxs` (`T x in x batch`). The accumulated `grads` are
+    /// bit-identical to running the scalar backward per sequence in
+    /// batch order.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -369,17 +405,39 @@ impl LstmLayerShape {
         grads: &mut [f32],
         dxs: &mut [f32],
     ) {
+        let mut dzs = vec![0.0f32; t_steps * 4 * self.hidden * batch];
+        self.deltas_batch(w, t_steps, batch, cache, dh, &mut dzs, Some(dxs));
+        let group = LstmLayerGroup {
+            x: *x,
+            cache,
+            dzs: &dzs,
+            batch,
+        };
+        self.accumulate_batch(&[group], t_steps, 0..4 * self.hidden, grads);
+    }
+
+    /// The BPTT delta recursion of [`LstmLayerShape::backward_batch`]:
+    /// writes every timestep's pre-activation deltas to `dzs`
+    /// (`T x 4h x batch`) and, when `dxs` is given, the input gradients
+    /// (`T x in x batch`). `dh` is consumed in place. Lane deltas follow
+    /// the scalar operation sequence exactly.
+    #[allow(clippy::too_many_arguments)]
+    pub fn deltas_batch(
+        &self,
+        w: &[f32],
+        t_steps: usize,
+        batch: usize,
+        cache: &LstmLayerBatchCache,
+        dh: &mut [f32],
+        dzs: &mut [f32],
+        mut dxs: Option<&mut [f32]>,
+    ) {
         let h = self.hidden;
         let i_dim = self.in_dim;
         let (w_ih, w_hh, _) = self.split(w);
-        let (g_ih, rest) = grads.split_at_mut(4 * h * i_dim);
-        let (g_hh, g_b) = rest.split_at_mut(4 * h * h);
-
+        debug_assert_eq!(dzs.len(), t_steps * 4 * h * batch);
         let mut dc_next = vec![0.0f32; h * batch];
         let mut dh_rec = vec![0.0f32; h * batch];
-        // All timesteps' pre-activation deltas, batch-major, kept so the
-        // parameter accumulation below can run in canonical order.
-        let mut dzs = vec![0.0f32; t_steps * 4 * h * batch];
         let zero_row = vec![0.0f32; batch];
         for t in (0..t_steps).rev() {
             let gates = &cache.gates[t * 4 * h * batch..(t + 1) * 4 * h * batch];
@@ -423,45 +481,106 @@ impl LstmLayerShape {
                     &mut dzo[s..s + LW],
                 ));
             }
-            gemm_bm_t_acc(
-                w_ih,
-                dz,
-                &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
-                4 * h,
-                i_dim,
-                batch,
-            );
+            let dz = &dzs[t * 4 * h * batch..(t + 1) * 4 * h * batch];
+            if let Some(dxs) = dxs.as_deref_mut() {
+                gemm_bm_t_acc(
+                    w_ih,
+                    dz,
+                    &mut dxs[t * i_dim * batch..(t + 1) * i_dim * batch],
+                    4 * h,
+                    i_dim,
+                    batch,
+                );
+            }
             dh_rec.fill(0.0);
             if t > 0 {
                 gemm_bm_t_acc(w_hh, dz, &mut dh_rec, 4 * h, h, batch);
             }
         }
-        // Canonical parameter accumulation: per sequence (ascending),
-        // per timestep (descending), exactly the scalar path's rank-1
-        // updates and bias adds.
-        let mut dz_s = vec![0.0f32; 4 * h];
-        let mut x_s = vec![0.0f32; i_dim];
-        let mut hp_s = vec![0.0f32; h];
-        for s in 0..batch {
-            for t in (0..t_steps).rev() {
-                let dz = &dzs[t * 4 * h * batch..(t + 1) * 4 * h * batch];
-                for (r, d) in dz_s.iter_mut().enumerate() {
-                    *d = dz[r * batch + s];
-                }
-                x.gather(t, s, t_steps, batch, &mut x_s);
-                outer_acc(g_ih, &dz_s, &x_s);
-                for (g, &d) in g_b.iter_mut().zip(&dz_s) {
-                    *g += d;
-                }
+    }
+
+    /// Canonical parameter accumulation of gate rows `rows` (of `4h`)
+    /// over `groups`: per sequence (ascending, through the groups in
+    /// order), per timestep (descending), exactly the scalar path's
+    /// rank-1 updates ([`outer_acc`], zero-delta skip included) and
+    /// bias adds, restricted to those rows' entries of `W_ih`, `W_hh`
+    /// and `b`.
+    ///
+    /// Each gradient entry therefore sums its terms in item order
+    /// whatever the group boundaries and whichever rows a call covers:
+    /// calls over disjoint row ranges, on any threads, together equal
+    /// one call over all rows and one group. The terms are gathered
+    /// term-major, [`TERM_CHUNK`] at a time, and applied by
+    /// [`outer_acc_terms`].
+    pub fn accumulate_batch(
+        &self,
+        groups: &[LstmLayerGroup<'_>],
+        t_steps: usize,
+        rows: Range<usize>,
+        grads: &mut [f32],
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let h = self.hidden;
+        let i_dim = self.in_dim;
+        let n_rows = rows.len();
+        let (g_ih, rest) = grads.split_at_mut(4 * h * i_dim);
+        let (g_hh, g_b) = rest.split_at_mut(4 * h * h);
+        let g_ih = &mut g_ih[rows.start * i_dim..rows.end * i_dim];
+        let g_hh = &mut g_hh[rows.start * h..rows.end * h];
+        let g_b = &mut g_b[rows.clone()];
+        let mut terms = groups.iter().flat_map(|g| {
+            (0..g.batch).flat_map(move |s| (0..t_steps).rev().map(move |t| (g, s, t)))
+        });
+        // Up to `TERM_CHUNK` terms' deltas and inputs at a time, the
+        // recurrent terms (t > 0) separately with their previous hidden
+        // states; chunks are applied in term order.
+        let (mut dz, mut xs) = (Vec::new(), Vec::new());
+        let (mut dz_rec, mut hps) = (Vec::new(), Vec::new());
+        loop {
+            dz.clear();
+            xs.clear();
+            dz_rec.clear();
+            hps.clear();
+            for (g, s, t) in terms.by_ref().take(TERM_CHUNK) {
+                let batch = g.batch;
+                let dz_t = &g.dzs[t * 4 * h * batch..(t + 1) * 4 * h * batch];
+                let at = dz.len();
+                dz.extend(rows.clone().map(|r| dz_t[r * batch + s]));
+                let x_at = xs.len();
+                xs.resize(x_at + i_dim, 0.0);
+                g.x.gather(t, s, t_steps, batch, &mut xs[x_at..]);
                 if t > 0 {
-                    let hs = &cache.hs[(t - 1) * h * batch..t * h * batch];
-                    for (k, hp) in hp_s.iter_mut().enumerate() {
-                        *hp = hs[k * batch + s];
-                    }
-                    outer_acc(g_hh, &dz_s, &hp_s);
+                    dz_rec.extend_from_slice(&dz[at..]);
+                    let hs = &g.cache.hs[(t - 1) * h * batch..t * h * batch];
+                    hps.extend((0..h).map(|k| hs[k * batch + s]));
                 }
             }
+            if dz.is_empty() {
+                return;
+            }
+            for term in dz.chunks_exact(n_rows) {
+                for (gb, &d) in g_b.iter_mut().zip(term) {
+                    *gb += d;
+                }
+            }
+            outer_acc_terms(g_ih, &dz, &xs, n_rows, i_dim);
+            outer_acc_terms(g_hh, &dz_rec, &hps, n_rows, h);
         }
+    }
+
+    /// The flat ranges of this layer's parameter vector that gate rows
+    /// `rows` cover (in `W_ih`, `W_hh` and `b`), offset by `off`.
+    fn row_ranges(&self, rows: Range<usize>, off: usize) -> [Range<usize>; 3] {
+        let (h, i) = (self.hidden, self.in_dim);
+        let hh = off + 4 * h * i;
+        let b = hh + 4 * h * h;
+        [
+            off + rows.start * i..off + rows.end * i,
+            hh + rows.start * h..hh + rows.end * h,
+            b + rows.start..b + rows.end,
+        ]
     }
 }
 
@@ -795,9 +914,10 @@ impl Lstm {
     /// (sequence-major `batch x hidden`, the gradient w.r.t. each
     /// sequence's final hidden vector); accumulates into `grads`.
     ///
-    /// The accumulated gradients are bit-identical to running the
-    /// scalar [`Lstm::backward`] once per sequence, in batch order,
-    /// into the same buffer (see [`LstmLayerShape::backward_batch`]).
+    /// The one-group composition of [`Lstm::deltas_batch`] and
+    /// [`Lstm::accumulate_batch`]. The accumulated gradients are
+    /// bit-identical to running the scalar [`Lstm::backward`] once per
+    /// sequence, in batch order, into the same buffer.
     pub fn backward_batch(
         &self,
         xs: &[f32],
@@ -805,6 +925,19 @@ impl Lstm {
         douts: &[f32],
         grads: &mut [f32],
     ) {
+        let deltas = self.deltas_batch(cache, douts);
+        let group = LstmGroup {
+            xs,
+            cache,
+            deltas: &deltas,
+        };
+        self.accumulate_batch(&[group], 0, 1, grads);
+    }
+
+    /// The BPTT delta recursion of every layer, top down, from
+    /// per-sequence gradients `douts` (sequence-major `batch x hidden`).
+    /// Layer 0's input gradient is never formed: nothing consumes it.
+    pub fn deltas_batch(&self, cache: &LstmBatchCache, douts: &[f32]) -> LstmBatchDeltas {
         let t = cache.t_steps;
         let batch = cache.batch;
         let top = self.layers.len() - 1;
@@ -819,33 +952,85 @@ impl Lstm {
                 last[k * batch + s] = douts[s * h_top + k];
             }
         }
-        let mut grad_off_ends: Vec<usize> = Vec::with_capacity(self.layers.len());
-        let mut acc = 0;
-        for s in &self.layers {
-            acc += s.param_len();
-            grad_off_ends.push(acc);
-        }
+        let mut dzs: Vec<Vec<f32>> = vec![Vec::new(); self.layers.len()];
         for l in (0..self.layers.len()).rev() {
             let shape = self.layers[l];
-            let x = if l == 0 {
-                BatchInput::Seq(xs)
-            } else {
-                BatchInput::Bm(&cache.layer_caches[l - 1].hs)
-            };
-            let mut dxs = vec![0.0f32; t * shape.in_dim * batch];
-            let g_start = grad_off_ends[l] - shape.param_len();
-            shape.backward_batch(
+            let mut dz = vec![0.0f32; t * 4 * shape.hidden * batch];
+            let mut dxs = (l > 0).then(|| vec![0.0f32; t * shape.in_dim * batch]);
+            shape.deltas_batch(
                 self.layer_param(l),
-                &x,
                 t,
                 batch,
                 &cache.layer_caches[l],
                 &mut dh,
-                &mut grads[g_start..grad_off_ends[l]],
-                &mut dxs,
+                &mut dz,
+                dxs.as_deref_mut(),
             );
-            dh = dxs;
+            dzs[l] = dz;
+            if let Some(dxs) = dxs {
+                dh = dxs;
+            }
         }
+        LstmBatchDeltas { dzs }
+    }
+
+    /// Accumulate part `part` of `parts` of the parameter gradients over
+    /// the lane `groups`, in group order, into `grads` (same length as
+    /// [`Lstm::params`]). Each layer's gate rows are split into `parts`
+    /// contiguous ranges ([`part_range`]) and this call covers range
+    /// `part` of every layer. Parts touch disjoint entries, so they can
+    /// run on different threads; see [`LstmLayerShape::accumulate_batch`]
+    /// for why the bits do not depend on the grouping or the split.
+    pub fn accumulate_batch(
+        &self,
+        groups: &[LstmGroup<'_>],
+        part: usize,
+        parts: usize,
+        grads: &mut [f32],
+    ) {
+        let Some(first) = groups.first() else {
+            return;
+        };
+        let t = first.cache.t_steps;
+        let mut off = 0;
+        for (l, shape) in self.layers.iter().enumerate() {
+            let layer_groups: Vec<LstmLayerGroup<'_>> = groups
+                .iter()
+                .map(|g| {
+                    debug_assert_eq!(g.cache.t_steps, t);
+                    LstmLayerGroup {
+                        x: if l == 0 {
+                            BatchInput::Seq(g.xs)
+                        } else {
+                            BatchInput::Bm(&g.cache.layer_caches[l - 1].hs)
+                        },
+                        cache: &g.cache.layer_caches[l],
+                        dzs: &g.deltas.dzs[l],
+                        batch: g.cache.batch,
+                    }
+                })
+                .collect();
+            let rows = part_range(4 * shape.hidden, part, parts);
+            shape.accumulate_batch(
+                &layer_groups,
+                t,
+                rows,
+                &mut grads[off..off + shape.param_len()],
+            );
+            off += shape.param_len();
+        }
+    }
+
+    /// The flat ranges of the parameter vector that part `part` of
+    /// `parts` of [`Lstm::accumulate_batch`] writes.
+    pub fn grad_part_ranges(&self, part: usize, parts: usize) -> Vec<Range<usize>> {
+        let mut ranges = Vec::with_capacity(3 * self.layers.len());
+        let mut off = 0;
+        for shape in &self.layers {
+            ranges.extend(shape.row_ranges(part_range(4 * shape.hidden, part, parts), off));
+            off += shape.param_len();
+        }
+        ranges
     }
 
     /// Backward from a gradient `dout` w.r.t. the final hidden vector;

@@ -7,9 +7,9 @@
 //! manual backward passes.
 
 use crate::bilstm::{BiLstm, BiLstmBatchCache, BiLstmCache};
-use crate::gru::{Gru, GruBatchCache, GruCache, GruState};
+use crate::gru::{Gru, GruBatchCache, GruBatchDeltas, GruCache, GruGroup, GruState};
 use crate::linear::LinearShape;
-use crate::lstm::{Lstm, LstmBatchCache, LstmCache, LstmState};
+use crate::lstm::{Lstm, LstmBatchCache, LstmBatchDeltas, LstmCache, LstmGroup, LstmState};
 use crate::mlp::{Mlp, MlpBatchCache, MlpCache};
 use crate::tensor::{bm_to_seq, seq_to_bm};
 use crate::transformer::{TransformerBatchCache, TransformerCache, TransformerEncoder};
@@ -75,6 +75,35 @@ pub enum BatchCache {
     Gru(GruBatchCache),
     /// Batch-major Transformer activations.
     Transformer(TransformerBatchCache),
+}
+
+/// One lane group's backward deltas from [`SeqModel::backward_deltas`],
+/// consumed by [`SeqModel::accumulate_grads`].
+pub enum BatchDeltas {
+    /// Every LSTM layer's BPTT deltas.
+    Lstm(LstmBatchDeltas),
+    /// Every GRU layer's BPTT deltas.
+    Gru(GruBatchDeltas),
+    /// Architectures whose backward does not split
+    /// ([`SeqModel::splits_backward`] is false) keep the upstream
+    /// gradients and run their whole `backward_batch` in
+    /// [`SeqModel::accumulate_grads`].
+    Upstream {
+        /// Sequence-major `batch x out_dim` upstream gradients.
+        douts: Vec<f32>,
+    },
+}
+
+/// One lane group of a split batched backward: the group's
+/// sequence-major windows, forward cache and deltas.
+#[derive(Clone, Copy)]
+pub struct LaneGroup<'a> {
+    /// Sequence-major `batch x t x in_dim` windows.
+    pub xs: &'a [f32],
+    /// The group's cache from [`SeqModel::forward_batch_cached`].
+    pub cache: &'a BatchCache,
+    /// The group's deltas from [`SeqModel::backward_deltas`].
+    pub deltas: &'a BatchDeltas,
 }
 
 /// Opaque forward cache matching the architecture.
@@ -404,6 +433,110 @@ impl SeqModel {
                 m.backward_batch(xs, c, douts, grads);
             }
             _ => panic!("batch cache does not match model architecture"),
+        }
+    }
+
+    /// Whether the batched backward splits into per-group deltas and a
+    /// row-split parameter accumulation (the recurrent LSTM and GRU),
+    /// so [`SeqModel::accumulate_grads`] takes several lane groups and
+    /// several parts. The other architectures run one group, one part.
+    pub fn splits_backward(&self) -> bool {
+        matches!(self, SeqModel::Lstm(_) | SeqModel::Gru(_))
+    }
+
+    /// The first half of [`SeqModel::backward_batch`] for one lane
+    /// group: the BPTT delta recursion from per-sequence upstream
+    /// gradients `douts` (sequence-major `batch x out_dim`). Groups are
+    /// independent, so their deltas can be formed on different threads.
+    ///
+    /// Panics if `cache` does not match the architecture.
+    pub fn backward_deltas(&self, cache: &BatchCache, douts: &[f32]) -> BatchDeltas {
+        match (self, cache) {
+            (SeqModel::Lstm(m), BatchCache::Lstm(c)) => BatchDeltas::Lstm(m.deltas_batch(c, douts)),
+            (SeqModel::Gru(m), BatchCache::Gru(c)) => BatchDeltas::Gru(m.deltas_batch(c, douts)),
+            (SeqModel::Lstm(_) | SeqModel::Gru(_), _) => {
+                panic!("batch cache does not match model architecture")
+            }
+            _ => BatchDeltas::Upstream {
+                douts: douts.to_vec(),
+            },
+        }
+    }
+
+    /// The second half of [`SeqModel::backward_batch`]: accumulate part
+    /// `part` of `parts` of the parameter gradients of `groups` (in
+    /// group order, `t`-step windows) into `grads`.
+    ///
+    /// Parts cover disjoint gradient rows ([`SeqModel::grad_part_ranges`])
+    /// and can run on different threads. Every gradient entry sums its
+    /// terms in item order, through the groups in order, so together
+    /// the parts equal one `backward_batch` over the concatenated
+    /// groups bit for bit — whatever the group boundaries and the
+    /// number of parts.
+    ///
+    /// Panics if a group's cache or deltas do not match the
+    /// architecture, or if an architecture that does not
+    /// [`SeqModel::splits_backward`] gets more than one group or part.
+    pub fn accumulate_grads(
+        &self,
+        t: usize,
+        groups: &[LaneGroup<'_>],
+        part: usize,
+        parts: usize,
+        grads: &mut [f32],
+    ) {
+        const MISMATCH: &str = "lane group does not match model architecture";
+        match self {
+            SeqModel::Lstm(m) => {
+                let gs: Vec<LstmGroup<'_>> = groups
+                    .iter()
+                    .map(|g| match (g.cache, g.deltas) {
+                        (BatchCache::Lstm(cache), BatchDeltas::Lstm(deltas)) => LstmGroup {
+                            xs: g.xs,
+                            cache,
+                            deltas,
+                        },
+                        _ => panic!("{MISMATCH}"),
+                    })
+                    .collect();
+                m.accumulate_batch(&gs, part, parts, grads);
+            }
+            SeqModel::Gru(m) => {
+                let gs: Vec<GruGroup<'_>> = groups
+                    .iter()
+                    .map(|g| match (g.cache, g.deltas) {
+                        (BatchCache::Gru(cache), BatchDeltas::Gru(deltas)) => GruGroup {
+                            xs: g.xs,
+                            cache,
+                            deltas,
+                        },
+                        _ => panic!("{MISMATCH}"),
+                    })
+                    .collect();
+                m.accumulate_batch(&gs, part, parts, grads);
+            }
+            _ => {
+                let [g] = groups else {
+                    panic!("{} accumulates one lane group", self.describe());
+                };
+                assert_eq!(parts, 1, "{} accumulates in one part", self.describe());
+                let BatchDeltas::Upstream { douts } = g.deltas else {
+                    panic!("{MISMATCH}");
+                };
+                let batch = douts.len() / self.out_dim();
+                self.backward_batch(g.xs, t, batch, g.cache, douts, grads);
+            }
+        }
+    }
+
+    /// The flat ranges of the parameter vector that part `part` of
+    /// `parts` of [`SeqModel::accumulate_grads`] writes (the whole
+    /// vector for a one-part architecture).
+    pub fn grad_part_ranges(&self, part: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+        match self {
+            SeqModel::Lstm(m) => m.grad_part_ranges(part, parts),
+            SeqModel::Gru(m) => m.grad_part_ranges(part, parts),
+            _ => std::iter::once(0..self.num_params()).collect(),
         }
     }
 

@@ -201,6 +201,97 @@ pub fn outer_acc(w_grad: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
+/// Terms per [`outer_acc_terms`] call in the batched backward's
+/// parameter accumulation, which gathers its terms term-major. This
+/// bounds that scratch space at any window length and batch size; at
+/// 128 terms it is about 100 KB for an LSTM-2-32 half-row split, small
+/// enough that a training step's two threads keep the process's
+/// resident memory within about 1 MB of one thread's.
+pub const TERM_CHUNK: usize = 128;
+
+/// A sequence of rank-1 updates, `W_grad += a_i b_i^T` for each term
+/// `i` in order, with `a` term-major `n x rows` and `b` term-major
+/// `n x cols`. Every entry of `W_grad` receives exactly [`outer_acc`]'s
+/// operations, term after term, including its skip of zero `a`
+/// entries, so the result is bit-identical to `n` `outer_acc` calls.
+///
+/// The work runs tile by tile: a 4-row by 8-column tile of `W_grad`
+/// stays in registers while every term streams past. That reorders
+/// work between entries, never the terms of one entry.
+pub fn outer_acc_terms(w_grad: &mut [f32], a: &[f32], b: &[f32], rows: usize, cols: usize) {
+    debug_assert_eq!(w_grad.len(), rows * cols);
+    if rows == 0 {
+        return;
+    }
+    let n = a.len() / rows;
+    debug_assert_eq!(a.len(), n * rows);
+    debug_assert_eq!(b.len(), n * cols);
+    let mut r0 = 0;
+    while r0 + 4 <= rows {
+        outer_acc_row_tile::<4>(w_grad, a, b, r0, rows, cols, n);
+        r0 += 4;
+    }
+    while r0 < rows {
+        outer_acc_row_tile::<1>(w_grad, a, b, r0, rows, cols, n);
+        r0 += 1;
+    }
+}
+
+fn outer_acc_row_tile<const R: usize>(
+    w_grad: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    r0: usize,
+    rows: usize,
+    cols: usize,
+    n: usize,
+) {
+    let mut c0 = 0;
+    while c0 + 8 <= cols {
+        outer_acc_tile::<R, 8>(w_grad, a, b, (r0, c0), rows, cols, n);
+        c0 += 8;
+    }
+    while c0 < cols {
+        outer_acc_tile::<R, 1>(w_grad, a, b, (r0, c0), rows, cols, n);
+        c0 += 1;
+    }
+}
+
+/// One `R x C` tile of [`outer_acc_terms`] at `(r0, c0)`, accumulated
+/// in registers across all `n` terms.
+#[inline]
+fn outer_acc_tile<const R: usize, const C: usize>(
+    w_grad: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    (r0, c0): (usize, usize),
+    rows: usize,
+    cols: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for (r, tile_row) in acc.iter_mut().enumerate() {
+        let at = (r0 + r) * cols + c0;
+        tile_row.copy_from_slice(&w_grad[at..at + C]);
+    }
+    for i in 0..n {
+        let ai = &a[i * rows + r0..i * rows + r0 + R];
+        let bi = &b[i * cols + c0..i * cols + c0 + C];
+        for (tile_row, &av) in acc.iter_mut().zip(ai) {
+            if av == 0.0 {
+                continue;
+            }
+            for (g, &bv) in tile_row.iter_mut().zip(bi) {
+                *g += av * bv;
+            }
+        }
+    }
+    for (r, tile_row) in acc.iter().enumerate() {
+        let at = (r0 + r) * cols + c0;
+        w_grad[at..at + C].copy_from_slice(tile_row);
+    }
+}
+
 /// Dot product.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -306,6 +397,7 @@ pub(crate) use for_lane_chunks;
 /// Batch-major input view for the batched backward passes: layer 0 reads
 /// the caller's sequence-major window block, higher layers read the
 /// batch-major hidden states of the layer below.
+#[derive(Clone, Copy)]
 pub enum BatchInput<'a> {
     /// Sequence-major `batch x T x in_dim` (the `forward_batch` input).
     Seq(&'a [f32]),
@@ -585,6 +677,41 @@ mod tests {
         let mut g = [1.0f32; 6];
         outer_acc(&mut g, &a, &b);
         assert_eq!(g, [4., 5., 6., 7., 9., 11.]);
+    }
+
+    #[test]
+    fn outer_acc_terms_is_outer_acc_term_by_term_bitwise() {
+        // Odd shapes cover the row and column tails; zero and negative
+        // deltas cover the skip and signed-zero sums.
+        for (rows, cols, n) in [(9, 19, 7), (4, 8, 3), (1, 1, 5), (6, 0, 2)] {
+            let a: Vec<f32> = (0..n * rows)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        ((i * 7 % 11) as f32 - 5.0) * 0.3
+                    }
+                })
+                .collect();
+            let b: Vec<f32> = (0..n * cols)
+                .map(|i| ((i * 13 % 17) as f32 - 8.0) * 0.1)
+                .collect();
+            let init: Vec<f32> = (0..rows * cols)
+                .map(|i| if i % 3 == 0 { -0.0 } else { i as f32 * 1e-3 })
+                .collect();
+            let mut want = init.clone();
+            for i in 0..n {
+                outer_acc(
+                    &mut want,
+                    &a[i * rows..(i + 1) * rows],
+                    &b[i * cols..(i + 1) * cols],
+                );
+            }
+            let mut got = init;
+            outer_acc_terms(&mut got, &a, &b, rows, cols);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}, {n} terms");
+        }
     }
 
     #[test]
