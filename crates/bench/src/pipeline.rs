@@ -6,7 +6,7 @@ use crate::scale::Scale;
 use crate::shard::ShardPlan;
 use perfvec::compose::program_representations;
 use perfvec::predict::{evaluate_program, EvalRow};
-use perfvec::refit::refit_march_table;
+use perfvec::refit::{accumulate_with_representations, solve_table};
 use perfvec::trainer::{train_foundation, TrainConfig, TrainedFoundation};
 use perfvec::{Foundation, MarchTable};
 use perfvec_sim::MicroArchConfig;
@@ -101,22 +101,41 @@ pub fn train_and_refit(data: &SuiteData, cfg: &TrainConfig) -> TrainedFoundation
 
 /// Refit the trained microarchitecture table in closed form over all
 /// training instructions (the converged fixed point of the paper's long
-/// table-SGD schedule).
-pub fn refit(trained: &mut TrainedFoundation, data: &SuiteData) {
-    trained.march_table = refit_march_table(&trained.foundation, &data.train, REFIT_RIDGE);
+/// table-SGD schedule). Returns the training programs' representations,
+/// folded from the same pass ([`accumulate_with_representations`]) for
+/// [`eval_seen_unseen`].
+pub fn refit(trained: &mut TrainedFoundation, data: &SuiteData) -> Vec<Vec<f32>> {
+    let (eq, seen_reps) = accumulate_with_representations(&trained.foundation, &data.train);
+    trained.march_table = solve_table(&eq, REFIT_RIDGE);
+    seen_reps
 }
 
 /// Evaluate a trained foundation on seen (training) and unseen (testing)
 /// programs against the machines of its own table; ground truth is the
 /// column sums of each dataset (identical to the simulator totals).
-pub fn eval_seen_unseen(trained: &TrainedFoundation, data: &SuiteData) -> Vec<EvalRow> {
-    let programs: Vec<(bool, &ProgramData)> = data
-        .train
-        .iter()
-        .map(|d| (true, d))
-        .chain(data.test.iter().map(|d| (false, d)))
-        .collect();
-    eval_programs(&trained.foundation, &trained.march_table, &programs)
+///
+/// `seen_reps` are the training programs' representations that
+/// [`refit`] returned, so only the unseen programs run through the
+/// foundation here.
+pub fn eval_seen_unseen(
+    trained: &TrainedFoundation,
+    data: &SuiteData,
+    seen_reps: &[Vec<f32>],
+) -> Vec<EvalRow> {
+    assert_eq!(
+        seen_reps.len(),
+        data.train.len(),
+        "one representation per seen program"
+    );
+    let unseen: Vec<&Matrix> = data.test.iter().map(|d| &d.features).collect();
+    let unseen_reps = program_representations(&trained.foundation, &unseen);
+    let programs = data.train.iter().map(|d| (true, d)).zip(seen_reps);
+    let unseen = data.test.iter().map(|d| (false, d)).zip(&unseen_reps);
+    eval_rows(
+        &trained.foundation,
+        &trained.march_table,
+        programs.chain(unseen),
+    )
 }
 
 /// Evaluate `programs`, each flagged seen or unseen, against every
@@ -130,10 +149,17 @@ pub fn eval_programs(
 ) -> Vec<EvalRow> {
     let feats: Vec<&Matrix> = programs.iter().map(|(_, d)| &d.features).collect();
     let reps = program_representations(foundation, &feats);
+    eval_rows(foundation, table, programs.iter().copied().zip(&reps))
+}
+
+/// One [`EvalRow`] per `((seen, program), R_p)`.
+fn eval_rows<'a>(
+    foundation: &Foundation,
+    table: &MarchTable,
+    programs: impl Iterator<Item = ((bool, &'a ProgramData), &'a Vec<f32>)>,
+) -> Vec<EvalRow> {
     programs
-        .iter()
-        .zip(&reps)
-        .map(|(&(seen, d), rp)| {
+        .map(|((seen, d), rp)| {
             let truths: Vec<f64> = (0..d.num_marches()).map(|j| d.total_time(j)).collect();
             evaluate_program(&d.name, seen, rp, foundation, table, &truths)
         })

@@ -92,12 +92,12 @@ pub fn fig3_like(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunEr
         trained.report.val_loss[trained.report.best_epoch as usize],
     );
     let t_refit = std::time::Instant::now();
-    refit(&mut trained, &data);
+    let seen_reps = refit(&mut trained, &data);
     let refit_secs = t_refit.elapsed().as_secs_f64();
     report.phase("refit", refit_secs);
 
     let t_eval = std::time::Instant::now();
-    let rows = eval_seen_unseen(&trained, &data);
+    let rows = eval_seen_unseen(&trained, &data, &seen_reps);
     let eval_secs = t_eval.elapsed().as_secs_f64();
     report.phase("eval", eval_secs);
     let title = match spec.kind {
@@ -159,10 +159,11 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
 
     perfvec_obs::info!("figures", "[fig4] training on the Table II split (lbm unseen)...");
     let t_train = std::time::Instant::now();
-    let base = train_and_refit(&data, &cfg);
+    let mut base = train_foundation(&data.train, &cfg);
+    let base_seen = refit(&mut base, &data);
     let base_secs = t_train.elapsed().as_secs_f64();
     report.phase("base_train", base_secs);
-    let base_rows = eval_seen_unseen(&base, &data);
+    let base_rows = eval_seen_unseen(&base, &data, &base_seen);
 
     // Move lbm into the training set.
     let mut train = data.train.clone();
@@ -179,10 +180,11 @@ pub fn fig4(spec: &ExperimentSpec, report: &mut Report) -> Result<(), RunError> 
         "[fig4] base model in {base_secs:.1}s; retraining with 519.lbm-like in the training set..."
     );
     let t_retrain = std::time::Instant::now();
-    let updated = train_and_refit(&moved, &cfg);
+    let mut updated = train_foundation(&moved.train, &cfg);
+    let updated_seen = refit(&mut updated, &moved);
     let retrain_secs = t_retrain.elapsed().as_secs_f64();
     report.phase("retrain", retrain_secs);
-    let rows = eval_seen_unseen(&updated, &moved);
+    let rows = eval_seen_unseen(&updated, &moved, &updated_seen);
 
     let lbm_before = base_rows
         .iter()

@@ -11,15 +11,19 @@
 //! execution. The windowed generator splits every trace into
 //! [`SUM_CHUNK`]-instruction chunks; the chunks of all programs in a
 //! call run in parallel, and each chunk feeds its windows
-//! [`LANE_WIDTH`] at a time through the batched forward pass. A
-//! stateful streaming generator (LSTM and GRU only) is provided as the
-//! fast single-pass alternative, with chunk-level parallelism and
-//! warmup context.
+//! [`LANE_WIDTH`] at a time through
+//! [`perfvec_ml::seq::SeqModel::forward_windows`]. Consecutive windows
+//! share all but one of their rows, and the LSTM and GRU project each
+//! row through their first layer once per block rather than once per
+//! window that reads it; every window's representation stays
+//! bit-identical to a scalar `forward` on it. A stateful streaming
+//! generator (LSTM and GRU only) is provided as the fast single-pass
+//! alternative, with chunk-level parallelism and warmup context.
 
 use crate::foundation::Foundation;
 use perfvec_ml::parallel::{parallel_map, LANE_WIDTH};
+use perfvec_ml::window::Window;
 use perfvec_trace::features::Matrix;
-use perfvec_trace::{fill_window, NUM_FEATURES};
 use std::ops::Range;
 
 /// Instructions summed per accumulator before folding into the total.
@@ -45,14 +49,16 @@ pub(crate) fn sum_chunks(lens: impl IntoIterator<Item = usize>) -> Vec<(usize, R
 
 /// Representations of a sequence of instruction windows, in order.
 ///
-/// `windows` yields `(features, instruction)` pairs; they are filled
+/// `windows` yields `(features, instruction)` pairs; they are gathered
 /// `block` at a time (at least one) into one
-/// [`perfvec_ml::seq::SeqModel::forward_batch`] call, and `visit(n, r)`
+/// [`perfvec_ml::seq::SeqModel::forward_windows`] call, and `visit(n, r)`
 /// then sees the `n`-th window's representation, in ascending `n`.
 /// Single-threaded: callers parallelize over chunks of windows. Each
 /// `r` is bit-identical to [`Foundation::repr_at`] on the same window,
-/// for any `block`, because the batched forward is bit-identical per
-/// sequence to the scalar one. Offline callers use [`LANE_WIDTH`].
+/// for any `block`, because the windowed forward is bit-identical per
+/// window to the scalar one. The block size only changes the cost: a
+/// recurrent model projects the `block + context` rows of a block of
+/// consecutive windows once each. Offline callers use [`LANE_WIDTH`].
 pub(crate) fn for_each_representation<'a>(
     foundation: &Foundation,
     block: usize,
@@ -60,51 +66,39 @@ pub(crate) fn for_each_representation<'a>(
     mut visit: impl FnMut(usize, &[f32]),
 ) {
     let block = block.max(1);
-    let w = foundation.window();
-    let stride = w * NUM_FEATURES;
-    let mut buf = vec![0.0f32; block * stride];
-    let mut filled = 0;
+    let mut buf: Vec<Window<'a>> = Vec::with_capacity(block);
     let mut done = 0;
     for (features, i) in windows {
-        fill_window(
-            features,
-            i,
-            foundation.context,
-            &mut buf[filled * stride..(filled + 1) * stride],
-        );
-        filled += 1;
-        if filled == block {
-            visit_block(foundation, &buf, filled, done, &mut visit);
-            done += filled;
-            filled = 0;
+        buf.push((&features.data, i));
+        if buf.len() == block {
+            visit_block(foundation, &buf, done, &mut visit);
+            done += buf.len();
+            buf.clear();
         }
     }
-    visit_block(foundation, &buf, filled, done, &mut visit);
+    visit_block(foundation, &buf, done, &mut visit);
 }
 
-/// One `forward_batch` over the first `b` windows of `buf`, visited as
-/// windows `done..done + b`.
+/// One `forward_windows` over `windows`, visited as windows
+/// `done..done + windows.len()`.
 fn visit_block(
     foundation: &Foundation,
-    buf: &[f32],
-    b: usize,
+    windows: &[Window<'_>],
     done: usize,
     visit: &mut impl FnMut(usize, &[f32]),
 ) {
-    if b == 0 {
+    if windows.is_empty() {
         return;
     }
-    let w = foundation.window();
-    let d = foundation.dim();
     let outs = foundation
         .model
-        .forward_batch(&buf[..b * w * NUM_FEATURES], w, b);
-    for (s, r) in outs.chunks_exact(d).enumerate() {
+        .forward_windows(windows, foundation.window());
+    for (s, r) in outs.chunks_exact(foundation.dim()).enumerate() {
         visit(done + s, r);
     }
 }
 
-fn add_into(acc: &mut [f32], v: &[f32]) {
+pub(crate) fn add_into(acc: &mut [f32], v: &[f32]) {
     for (a, &x) in acc.iter_mut().zip(v) {
         *a += x;
     }
@@ -141,8 +135,9 @@ pub fn instruction_representations(
 /// Every trace is cut into [`SUM_CHUNK`] chunks and the chunks of *all*
 /// programs run through one parallel map, so a set of short programs
 /// still fills every core. Within a chunk the windows run
-/// [`LANE_WIDTH`] at a time through the batched forward pass and are
-/// summed in ascending instruction order; each program's chunk partials are then folded in chunk order.
+/// [`LANE_WIDTH`] at a time through the windowed forward pass and are
+/// summed in ascending instruction order; each program's chunk partials
+/// are then folded in chunk order.
 /// A program's result therefore does not depend on which other programs
 /// share the call, and equals the scalar per-window sum bit for bit.
 pub fn program_representations(foundation: &Foundation, programs: &[&Matrix]) -> Vec<Vec<f32>> {
@@ -175,7 +170,7 @@ pub fn program_representation(foundation: &Foundation, features: &Matrix) -> Vec
 /// Coalesced batched representations for several programs at once: the
 /// windows of all `programs` form one stream (program-major,
 /// instructions ascending), processed `block` windows at a time through
-/// [`perfvec_ml::seq::SeqModel::forward_batch`] — one batched pass can
+/// [`perfvec_ml::seq::SeqModel::forward_windows`] — one batched pass can
 /// carry windows from several programs, which is the inference server's
 /// micro-batching coalescing itself.
 ///
@@ -265,6 +260,7 @@ pub fn program_representation_streaming(
 mod tests {
     use super::*;
     use crate::foundation::{ArchKind, ArchSpec};
+    use perfvec_trace::NUM_FEATURES;
 
     fn toy_features(n: usize) -> Matrix {
         let mut m = Matrix::zeros(n, NUM_FEATURES);
@@ -439,7 +435,7 @@ mod tests {
 
     #[test]
     fn coalesced_representations_are_bit_identical_per_program() {
-        // Windows of several programs share forward_batch blocks; each
+        // Windows of several programs share forward_windows blocks; each
         // program's representation must still equal the windowed
         // reference exactly — the serving engine's parity foundation.
         for kind in [ArchKind::Lstm, ArchKind::Gru] {

@@ -8,8 +8,9 @@
 //! representation predicts the instruction's incremental latency.
 
 use perfvec_ml::seq::SeqModel;
+use perfvec_ml::window::fill_window;
 use perfvec_trace::features::Matrix;
-use perfvec_trace::{fill_window, NUM_FEATURES};
+use perfvec_trace::NUM_FEATURES;
 
 /// Architecture family (the Figure 6 ablation set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +103,7 @@ impl Foundation {
     pub fn repr_at(&self, features: &Matrix, i: usize) -> Vec<f32> {
         let w = self.window();
         let mut buf = vec![0.0f32; w * NUM_FEATURES];
-        fill_window(features, i, self.context, &mut buf);
+        fill_window((&features.data, i), w, NUM_FEATURES, &mut buf);
         let (r, _) = self.model.forward(&buf, w);
         r
     }

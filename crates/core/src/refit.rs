@@ -8,7 +8,7 @@
 //! generated once, batched and chunk-parallel), one Cholesky
 //! factorization shared by all machines.
 
-use crate::compose::{for_each_representation, sum_chunks};
+use crate::compose::{add_into, for_each_representation, sum_chunks};
 use crate::foundation::Foundation;
 use crate::march_table::MarchTable;
 use perfvec_ml::linalg::ridge_solve;
@@ -79,6 +79,21 @@ impl NormalEq {
 /// forward pass and its rows into [`NormalEq::accumulate`] in ascending
 /// instruction order; the chunk partials merge in chunk order.
 pub fn accumulate_normal_equations(foundation: &Foundation, data: &[ProgramData]) -> NormalEq {
+    accumulate_with_representations(foundation, data).0
+}
+
+/// [`accumulate_normal_equations`], plus every program's representation
+/// `R_p` folded from the same pass's instruction representations.
+///
+/// Each chunk sums its representations in ascending instruction order
+/// and each program's chunk sums fold in chunk order, exactly as
+/// [`program_representations`](crate::compose::program_representations)
+/// does, so the sums are bit-identical to it: evaluating the training
+/// programs after a refit needs no second pass over their windows.
+pub fn accumulate_with_representations(
+    foundation: &Foundation,
+    data: &[ProgramData],
+) -> (NormalEq, Vec<Vec<f32>>) {
     let d = foundation.dim();
     let k = data[0].num_marches();
     let scale = foundation.target_scale;
@@ -87,15 +102,21 @@ pub fn accumulate_normal_equations(foundation: &Foundation, data: &[ProgramData]
         let (p, rows) = &items[n];
         let dset = &data[*p];
         let mut eq = NormalEq::zeros(d, k);
+        let mut rep = vec![0.0f32; d];
         let windows = rows.clone().map(|i| (&dset.features, i));
         for_each_representation(foundation, LANE_WIDTH, windows, |m, r| {
             eq.accumulate(r, dset.targets.row(rows.start + m), scale);
+            add_into(&mut rep, r);
         });
-        eq
+        (eq, rep)
     });
-    partials
-        .into_iter()
-        .fold(NormalEq::zeros(d, k), NormalEq::merge)
+    let mut reps = vec![vec![0.0f32; d]; data.len()];
+    let mut total = NormalEq::zeros(d, k);
+    for ((p, _), (eq, rep)) in items.iter().zip(partials) {
+        total = total.merge(eq);
+        add_into(&mut reps[*p], &rep);
+    }
+    (total, reps)
 }
 
 /// Solve the accumulated system into a fresh table, or `None` if the

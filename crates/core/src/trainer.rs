@@ -50,7 +50,8 @@ use perfvec_ml::parallel::{lane_split, with_helper, BatchStep, Helper};
 use perfvec_ml::schedule::StepDecay;
 use perfvec_ml::seq::{BatchCache, BatchDeltas, LaneGroup};
 use perfvec_ml::tensor::{axpy, dot};
-use perfvec_trace::{fill_window, ProgramData, NUM_FEATURES};
+use perfvec_ml::window::fill_window;
+use perfvec_trace::{ProgramData, NUM_FEATURES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -199,7 +200,7 @@ fn window_pass(
     let w = foundation.window();
     let k = table.k;
     let dim = table.dim;
-    fill_window(&data.features, i, foundation.context, buf);
+    fill_window((&data.features.data, i), w, NUM_FEATURES, buf);
     let scale = foundation.target_scale;
     let targets = data.targets.row(i);
     let inv_k = 2.0 / k as f32;
@@ -300,9 +301,9 @@ fn group_pass(
     let mut xs = vec![0.0f32; b * w * NUM_FEATURES];
     for (li, &(p, i)) in items.iter().enumerate() {
         fill_window(
-            &data[p].features,
-            i,
-            foundation.context,
+            (&data[p].features.data, i),
+            w,
+            NUM_FEATURES,
             &mut xs[li * w * NUM_FEATURES..(li + 1) * w * NUM_FEATURES],
         );
     }

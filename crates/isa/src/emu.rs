@@ -60,9 +60,7 @@ impl<'p> Emulator<'p> {
     pub fn new(program: &'p Program) -> Emulator<'p> {
         let mut mem = Memory::new();
         for seg in &program.data {
-            for (i, b) in seg.bytes.iter().enumerate() {
-                mem.write_u8(seg.addr + i as u64, *b);
-            }
+            mem.write_slice(seg.addr, &seg.bytes);
         }
         let mut x = [0i64; 32];
         x[Reg::SP.index() as usize] = STACK_BASE as i64;

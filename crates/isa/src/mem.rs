@@ -10,7 +10,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
 /// Sparse, lazily allocated memory.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Memory {
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
@@ -45,6 +45,25 @@ impl Memory {
         self.pages
             .entry(pn)
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))[off] = val;
+    }
+
+    /// Write `bytes` starting at `addr`, one page-sized chunk at a time.
+    ///
+    /// Equivalent to one [`Memory::write_u8`] per byte, with one page
+    /// lookup per chunk: the same contents, and every page the range
+    /// touches is materialized, zero bytes included.
+    pub fn write_slice(&mut self, mut addr: u64, bytes: &[u8]) {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (pn, off) = Self::page_of(addr);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.pages
+                .entry(pn)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))[off..off + chunk.len()]
+                .copy_from_slice(chunk);
+            addr += chunk.len() as u64;
+            rest = tail;
+        }
     }
 
     /// Read `N` little-endian bytes starting at `addr` (may straddle pages).
@@ -178,6 +197,36 @@ mod tests {
         assert_eq!(m.read_f64(64), -3.75);
         m.write_v128(128, [1.0, -2.0, 3.5, 0.25]);
         assert_eq!(m.read_v128(128), [1.0, -2.0, 3.5, 0.25]);
+    }
+
+    #[test]
+    fn slice_writes_match_byte_writes() {
+        let bytes: Vec<u8> = (0..3 * PAGE_SIZE as u32).map(|i| (i % 251) as u8).collect();
+        let zeros = vec![0u8; 100];
+        // (addr, bytes) segments: unaligned inside one page, straddling a
+        // page boundary, empty, all-zero, page-aligned, and a multi-page
+        // run that starts mid-page and overlaps an earlier segment.
+        let segments: [(u64, &[u8]); 6] = [
+            (0x1003, &bytes[..17]),
+            (0x2ff0, &bytes[..40]),
+            (0x9000, &bytes[..0]),
+            (0x7ffa, &zeros),
+            (0x5000, &bytes[..PAGE_SIZE]),
+            (0x2ff8, &bytes[5..2 * PAGE_SIZE + 9]),
+        ];
+        let mut sliced = Memory::new();
+        let mut bytewise = Memory::new();
+        for (addr, seg) in segments {
+            sliced.write_slice(addr, seg);
+            for (i, &b) in seg.iter().enumerate() {
+                bytewise.write_u8(addr + i as u64, b);
+            }
+            assert_eq!(sliced.page_count(), bytewise.page_count(), "{addr:#x}");
+            assert!(sliced == bytewise, "contents differ after {addr:#x}");
+        }
+        // The empty segment materialized nothing; the all-zero one did.
+        assert_eq!(sliced.read_uint(0x7ffa, 8), 0);
+        assert_eq!(bytewise.page_count(), 7);
     }
 
     #[test]

@@ -9,9 +9,10 @@ use std::ops::Range;
 // bit-identical to scalar inference while its inner loops vectorize
 // (see `tensor::tanh_apx`).
 use crate::tensor::{
-    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_terms,
-    sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
+    fill_rows_bm, for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc,
+    outer_acc_terms, sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
 };
+use crate::window::{InputProjection, Window};
 
 /// Shape of one GRU layer.
 ///
@@ -711,40 +712,58 @@ impl Gru {
     }
 
     /// Batched full-sequence forward over `batch` independent sequences
-    /// in lockstep (see [`crate::lstm::Lstm::forward_batch`]; same
-    /// layouts, same bit-identical-per-sequence guarantee).
+    /// in lockstep: [`Gru::forward_windows`] over the `batch` row blocks
+    /// of `xs` (see [`crate::lstm::Lstm::forward_batch`]; same layouts,
+    /// same bit-identical-per-sequence guarantee).
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
+        debug_assert_eq!(xs.len(), batch * t_steps * self.in_dim());
+        let windows: Vec<Window<'_>> = (1..=batch).map(|s| (xs, s * t_steps - 1)).collect();
+        self.forward_windows(&windows, t_steps)
+    }
+
+    /// Batched forward over `windows`, layer 0's input pre-activations
+    /// projected once per distinct row (see
+    /// [`crate::lstm::Lstm::forward_windows`]; same layouts, same
+    /// bit-identical-per-window guarantee).
+    pub fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
+        let batch = windows.len();
         assert!(batch >= 1);
+        let proj = {
+            let shape = self.layers[0];
+            let (w_ih, _, b) = shape.split(self.layer_param(0));
+            InputProjection::new(w_ih, b, shape.in_dim, windows, t_steps)
+        };
         let mut h_st: Vec<Vec<f32>> = self
             .layers
             .iter()
             .map(|l| vec![0.0f32; l.hidden * batch])
             .collect();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
         let mut zx = vec![0.0f32; 3 * h_max * batch];
         let mut un = vec![0.0f32; h_max * batch];
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
             for (l, shape) in self.layers.iter().enumerate() {
                 let h = shape.hidden;
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
                 let (w_hr, rest) = w_hh.split_at(h * h);
                 let (w_hz, w_hn) = rest.split_at(h * h);
                 let zx = &mut zx[..3 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    zx[r * batch..(r + 1) * batch].fill(bv);
-                }
                 let (below, cur) = h_st.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 { &x0 } else { &below[l - 1] };
-                gemm_bm_acc(w_ih, x_bm, zx, 3 * h, shape.in_dim, batch, &mut acc);
+                if l == 0 {
+                    proj.load(t, zx);
+                } else {
+                    fill_rows_bm(zx, b, batch);
+                    gemm_bm_acc(
+                        w_ih,
+                        &below[l - 1],
+                        zx,
+                        3 * h,
+                        shape.in_dim,
+                        batch,
+                        &mut acc,
+                    );
+                }
                 let h_cur = &mut cur[0];
                 gemm_bm_acc(w_hr, h_cur, &mut zx[..h * batch], h, h, batch, &mut acc);
                 gemm_bm_acc(

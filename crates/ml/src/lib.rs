@@ -53,6 +53,7 @@ pub mod schedule;
 pub mod seq;
 pub mod tensor;
 pub mod transformer;
+pub mod window;
 
 pub use adam::Adam;
 pub use loss::{abs_rel_error, error_stats, mse, mse_grad};

@@ -13,9 +13,10 @@ use std::ops::Range;
 // functions so batched inference stays bit-identical to scalar
 // inference while its inner loops vectorize (see `tensor::tanh_apx`).
 use crate::tensor::{
-    for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc, outer_acc_terms,
-    sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
+    fill_rows_bm, for_lane_chunks, gemm_bm_acc, gemm_bm_t_acc, gemv_acc, gemv_t_acc, outer_acc,
+    outer_acc_terms, sigmoid_apx, tanh_apx, BatchInput, TERM_CHUNK,
 };
+use crate::window::{InputProjection, Window};
 
 /// Shape of one LSTM layer with input size `in_dim` and hidden size `h`.
 ///
@@ -716,17 +717,36 @@ impl Lstm {
     /// in lockstep.
     ///
     /// `xs` is sequence-major (`batch` consecutive `t_steps x in_dim`
-    /// blocks); the result is sequence-major (`batch x hidden`). All
-    /// sequences advance one timestep at a time, so each weight matrix
-    /// is traversed once per timestep for the whole batch (see
-    /// [`gemm_bm_acc`]) instead of once per sequence — the inference
-    /// server's micro-batching win. Every sequence's arithmetic is
-    /// performed in exactly the order of [`Lstm::forward`], so each
-    /// output is bit-identical to an independent `forward` call.
+    /// blocks); the result is sequence-major (`batch x hidden`). The
+    /// blocks share no rows, so this is [`Lstm::forward_windows`] over
+    /// `batch` windows of the `xs` matrix that each project their own
+    /// rows: the same recurrent core, the same bits.
     pub fn forward_batch(&self, xs: &[f32], t_steps: usize, batch: usize) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(xs.len(), batch * t_steps * in_dim);
+        debug_assert_eq!(xs.len(), batch * t_steps * self.in_dim());
+        let windows: Vec<Window<'_>> = (1..=batch).map(|s| (xs, s * t_steps - 1)).collect();
+        self.forward_windows(&windows, t_steps)
+    }
+
+    /// Batched forward over `windows`, each `t_steps` rows of a
+    /// row-major feature matrix (see [`crate::window`]); the result is
+    /// sequence-major (`windows.len() x hidden`).
+    ///
+    /// Layer 0's input pre-activations are projected once per distinct
+    /// row of the block ([`InputProjection`]). Then all windows advance
+    /// one timestep at a time, so each weight matrix is traversed once
+    /// per timestep for the whole batch (see [`gemm_bm_acc`]) instead
+    /// of once per window — the inference server's micro-batching win.
+    /// Every window's arithmetic is performed in exactly the order of
+    /// [`Lstm::forward`], so each output is bit-identical to an
+    /// independent `forward` call on the window's rows.
+    pub fn forward_windows(&self, windows: &[Window<'_>], t_steps: usize) -> Vec<f32> {
+        let batch = windows.len();
         assert!(batch >= 1);
+        let proj = {
+            let shape = self.layers[0];
+            let (w_ih, _, b) = shape.split(self.layer_param(0));
+            InputProjection::new(w_ih, b, shape.in_dim, windows, t_steps)
+        };
         // Batch-major per-layer states: entry `k * batch + s`.
         let mut h_st: Vec<Vec<f32>> = self
             .layers
@@ -735,27 +755,22 @@ impl Lstm {
             .collect();
         let mut c_st = h_st.clone();
         let h_max = self.layers.iter().map(|l| l.hidden).max().unwrap();
-        let mut x0 = vec![0.0f32; in_dim * batch];
         let mut z = vec![0.0f32; 4 * h_max * batch];
         let mut acc = vec![0.0f32; batch];
         for t in 0..t_steps {
-            // Gather this timestep's inputs for layer 0 into batch-major
-            // form; higher layers consume the layer below's fresh state.
-            for k in 0..in_dim {
-                for (s, x) in x0[k * batch..(k + 1) * batch].iter_mut().enumerate() {
-                    *x = xs[s * t_steps * in_dim + t * in_dim + k];
-                }
-            }
             for (l, shape) in self.layers.iter().enumerate() {
                 let h = shape.hidden;
                 let (w_ih, w_hh, b) = shape.split(self.layer_param(l));
                 let z = &mut z[..4 * h * batch];
-                for (r, &bv) in b.iter().enumerate() {
-                    z[r * batch..(r + 1) * batch].fill(bv);
-                }
                 let (below, cur_h) = h_st.split_at_mut(l);
-                let x_bm: &[f32] = if l == 0 { &x0 } else { &below[l - 1] };
-                gemm_bm_acc(w_ih, x_bm, z, 4 * h, shape.in_dim, batch, &mut acc);
+                // Layer 0 reads its projected inputs; higher layers
+                // project the layer below's fresh state.
+                if l == 0 {
+                    proj.load(t, z);
+                } else {
+                    fill_rows_bm(z, b, batch);
+                    gemm_bm_acc(w_ih, &below[l - 1], z, 4 * h, shape.in_dim, batch, &mut acc);
+                }
                 gemm_bm_acc(w_hh, &cur_h[0], z, 4 * h, h, batch, &mut acc);
                 let (h_cur, c_cur) = (&mut cur_h[0], &mut c_st[l]);
                 // Per-k row slices, processed in fixed-width chunks:

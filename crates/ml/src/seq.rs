@@ -13,6 +13,7 @@ use crate::lstm::{Lstm, LstmBatchCache, LstmBatchDeltas, LstmCache, LstmGroup, L
 use crate::mlp::{Mlp, MlpBatchCache, MlpCache};
 use crate::tensor::{bm_to_seq, seq_to_bm};
 use crate::transformer::{TransformerBatchCache, TransformerCache, TransformerEncoder};
+use crate::window::{fill_window, Window};
 
 /// A sequence model (one of the Figure 6 architectures).
 pub enum SeqModel {
@@ -335,6 +336,34 @@ impl SeqModel {
             SeqModel::BiLstm(m) => m.forward_batch(xs, t, batch),
             SeqModel::Gru(m) => m.forward_batch(xs, t, batch),
             SeqModel::Transformer(m) => m.forward_batch(xs, t, batch),
+        }
+    }
+
+    /// Batched forward over `windows`: each `(features, end)` is the `t`
+    /// rows of a row-major feature matrix (`in_dim` columns) that end at
+    /// row `end`, rows before row 0 reading as zeros (see
+    /// [`crate::window`]). The result is sequence-major
+    /// (`windows.len() x out_dim`), and each window's output is
+    /// bit-identical to a `forward` call on its rows.
+    ///
+    /// This is the inference entry point. The recurrent LSTM and GRU
+    /// project every distinct row of the block through their first
+    /// layer once, however many windows read it, so `B` consecutive
+    /// windows cost `B + t - 1` row projections instead of `B·t`. The
+    /// other architectures fill the windows and run
+    /// [`SeqModel::forward_batch`].
+    pub fn forward_windows(&self, windows: &[Window<'_>], t: usize) -> Vec<f32> {
+        match self {
+            SeqModel::Lstm(m) => m.forward_windows(windows, t),
+            SeqModel::Gru(m) => m.forward_windows(windows, t),
+            _ => {
+                let in_dim = self.in_dim();
+                let mut xs = vec![0.0f32; windows.len() * t * in_dim];
+                for (out, &w) in xs.chunks_exact_mut(t * in_dim).zip(windows) {
+                    fill_window(w, t, in_dim, out);
+                }
+                self.forward_batch(&xs, t, windows.len())
+            }
         }
     }
 

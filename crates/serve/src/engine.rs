@@ -7,8 +7,8 @@
 //!
 //! A served prediction is **bit-identical** to the offline path
 //! (`perfvec::program_representation` + `perfvec::predict`): batched
-//! window forwards are bit-identical per sequence (see
-//! `SeqModel::forward_batch`), and per-request sums replay the offline
+//! window forwards are bit-identical per window (see
+//! `SeqModel::forward_windows`), and per-request sums replay the offline
 //! chunk structure exactly (see [`perfvec::compose::SUM_CHUNK`]), so
 //! neither the batch size, nor which requests happen to be coalesced
 //! together, nor worker scheduling can change any result.
@@ -29,8 +29,12 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Max requests coalesced into one batched forward pass; also the
-    /// window block size of that pass. `1` reproduces unbatched serving
-    /// (the scalar `forward` path) exactly.
+    /// window block size of that pass. Results never depend on it: `1`
+    /// runs `SeqModel::forward_windows` one window per block and gives
+    /// the same bits. What it changes is the cost: an LSTM or GRU
+    /// projects the `batch + context` rows of a block of consecutive
+    /// windows once each, so a block of `batch` windows projects
+    /// `1 + context / batch` rows per window instead of `context + 1`.
     pub batch: usize,
     /// Bounded queue depth (requests beyond it are shed with 503).
     pub queue_depth: usize,

@@ -1,7 +1,7 @@
-//! Training-dataset containers: per-program feature/target matrices,
-//! context windows, and train/validation/test splits.
+//! Training-dataset containers: per-program feature/target matrices
+//! and train/validation/test splits.
 
-use crate::features::{Matrix, NUM_FEATURES};
+use crate::features::Matrix;
 
 /// All learning data for one program: the `n x 51` feature matrix and an
 /// `n x k` target matrix of incremental latencies (0.1 ns) on `k`
@@ -77,24 +77,6 @@ impl ProgramData {
     }
 }
 
-/// Copy the `(context+1) x NUM_FEATURES` window ending at instruction
-/// `i` into `out`, zero-padding rows that fall before the start of the
-/// trace. `out.len()` must equal `(context+1) * NUM_FEATURES`.
-pub fn fill_window(features: &Matrix, i: usize, context: usize, out: &mut [f32]) {
-    let w = context + 1;
-    debug_assert_eq!(out.len(), w * NUM_FEATURES);
-    debug_assert_eq!(features.cols, NUM_FEATURES);
-    for (slot, row_out) in out.chunks_exact_mut(NUM_FEATURES).enumerate() {
-        // slot 0 is the oldest instruction in the window; slot w-1 is i.
-        let offset = (w - 1) - slot;
-        if i >= offset {
-            row_out.copy_from_slice(features.row(i - offset));
-        } else {
-            row_out.fill(0.0);
-        }
-    }
-}
-
 /// Deterministic train/validation/test split over instruction indices.
 #[derive(Debug, Clone)]
 pub struct Split {
@@ -140,6 +122,7 @@ impl Split {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::NUM_FEATURES;
 
     fn toy_data(n: usize, k: usize) -> ProgramData {
         let mut features = Matrix::zeros(n, NUM_FEATURES);
@@ -162,30 +145,6 @@ mod tests {
         let d = toy_data(4, 2);
         // column 1: 1 + 11 + 21 + 31
         assert_eq!(d.total_time(1), 64.0);
-    }
-
-    #[test]
-    fn window_is_zero_padded_at_trace_start() {
-        let d = toy_data(10, 1);
-        let c = 3;
-        let mut out = vec![0f32; (c + 1) * NUM_FEATURES];
-        fill_window(&d.features, 1, c, &mut out);
-        // slots: [pad, pad, row0, row1]
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[NUM_FEATURES], 0.0);
-        assert_eq!(out[2 * NUM_FEATURES], 0.0); // row 0 has feature[0] = 0
-        assert_eq!(out[3 * NUM_FEATURES], 1.0); // row 1
-    }
-
-    #[test]
-    fn window_slots_are_oldest_first() {
-        let d = toy_data(10, 1);
-        let c = 2;
-        let mut out = vec![0f32; (c + 1) * NUM_FEATURES];
-        fill_window(&d.features, 5, c, &mut out);
-        assert_eq!(out[0], 3.0);
-        assert_eq!(out[NUM_FEATURES], 4.0);
-        assert_eq!(out[2 * NUM_FEATURES], 5.0);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Offline inference runs windows through the batched forward pass;
-//! these tests pin it, for every architecture, bit for bit to a scalar
-//! oracle: one `forward` per window (`Foundation::repr_at`), summed in
-//! the same `SUM_CHUNK` order.
+//! Offline inference runs windows through the windowed batched forward
+//! pass; these tests pin it, for every architecture, bit for bit to a
+//! scalar oracle: one `forward` per window (`Foundation::repr_at`),
+//! summed in the same `SUM_CHUNK` order.
 
-use perfvec::compose::{program_representations, SUM_CHUNK};
+use perfvec::compose::{program_representations, program_representations_coalesced, SUM_CHUNK};
 use perfvec::foundation::{ArchKind, ArchSpec, Foundation};
 use perfvec::march_table::MarchTable;
-use perfvec::refit::{accumulate_normal_equations, NormalEq};
+use perfvec::refit::{accumulate_normal_equations, accumulate_with_representations, NormalEq};
 use perfvec::trainer::validation_loss;
 use perfvec_ml::parallel::LANE_WIDTH;
+use perfvec_ml::window::Window;
 use perfvec_trace::features::{Matrix, NUM_FEATURES};
 use perfvec_trace::ProgramData;
 
@@ -196,5 +197,115 @@ fn validation_loss_matches_the_scalar_oracle_bitwise() {
         let got = validation_loss(&f, &table, &data, &items, &inv_scale);
         let want = scalar_validation_loss(&f, &table, &data, &items, &inv_scale);
         assert_eq!(got.to_bits(), want.to_bits(), "{kind:?}: {got} vs {want}");
+    }
+}
+
+/// Block sizes of the windowed tests: one window, ragged, the engine's
+/// default, `LANE_WIDTH`, and one past it.
+const BLOCKS: [usize; 5] = [1, 7, 16, 32, 33];
+
+/// Every architecture at two layers, plus the recurrent ones (whose
+/// windowed forward shares the layer-0 projection) at one.
+fn windowed_foundations(context: usize) -> Vec<Foundation> {
+    let specs = ARCHS
+        .iter()
+        .map(|&kind| (kind, 2))
+        .chain([(ArchKind::Lstm, 1), (ArchKind::Gru, 1)]);
+    specs
+        .map(|(kind, layers)| {
+            let spec = ArchSpec {
+                kind,
+                layers,
+                dim: 8,
+            };
+            Foundation::new(spec, context, 0.1, 29)
+        })
+        .collect()
+}
+
+#[test]
+fn windowed_forward_matches_the_scalar_oracle_bitwise() {
+    let head = features(40, 1);
+    let next = features(25, 2);
+    let long = features(SUM_CHUNK + 40, 3);
+    let mats = [&head, &next, &long];
+    // `(matrix, row)`: two whole programs back to back (trace-head
+    // padding, blocks that span both), windows across a SUM_CHUNK
+    // boundary, then scattered windows that share no rows, with a
+    // repeat and a step backwards.
+    let mut windows: Vec<(usize, usize)> = (0..40).map(|i| (0, i)).collect();
+    windows.extend((0..25).map(|i| (1, i)));
+    windows.extend((SUM_CHUNK - 20..SUM_CHUNK + 20).map(|i| (2, i)));
+    windows.extend([(2, 900), (2, 900), (0, 30), (0, 2), (2, 17), (1, 24)]);
+    for context in [3, 0] {
+        for f in windowed_foundations(context) {
+            let name = format!("{} c={context}", f.model.describe());
+            let want: Vec<Vec<u32>> = windows
+                .iter()
+                .map(|&(m, i)| bits(&f.repr_at(mats[m], i)))
+                .collect();
+            for block in BLOCKS {
+                for (n, blk) in windows.chunks(block).enumerate() {
+                    let ws: Vec<Window<'_>> =
+                        blk.iter().map(|&(m, i)| (&mats[m].data[..], i)).collect();
+                    let out = f.model.forward_windows(&ws, f.window());
+                    assert_eq!(out.len(), blk.len() * f.dim(), "{name}");
+                    for (s, r) in out.chunks_exact(f.dim()).enumerate() {
+                        let (m, i) = blk[s];
+                        assert_eq!(
+                            bits(r),
+                            want[n * block + s],
+                            "{name}, block {block}: window ({m}, {i})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn coalesced_windowed_representations_match_the_scalar_oracle_bitwise() {
+    // The server's path: one window stream over several programs, so
+    // blocks span program boundaries; the long program crosses a
+    // SUM_CHUNK boundary inside one stream.
+    let progs = [features(40, 4), features(3, 5), features(SUM_CHUNK + 9, 6)];
+    let refs: Vec<&Matrix> = progs.iter().collect();
+    for context in [3, 0] {
+        for f in windowed_foundations(context) {
+            let want: Vec<Vec<u32>> = refs
+                .iter()
+                .map(|m| bits(&scalar_program_representation(&f, m)))
+                .collect();
+            for block in BLOCKS {
+                let got = program_representations_coalesced(&f, &refs, block);
+                let got: Vec<Vec<u32>> = got.iter().map(|r| bits(r)).collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "{} c={context}, block {block}",
+                    f.model.describe()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn refit_representations_match_program_representations_bitwise() {
+    let data = programs();
+    let feats: Vec<&Matrix> = data.iter().map(|d| &d.features).collect();
+    for kind in ARCHS {
+        let f = foundation(kind);
+        let (eq, reps) = accumulate_with_representations(&f, &data);
+        let want = program_representations(&f, &feats);
+        assert_eq!(reps.len(), want.len(), "{kind:?}");
+        for ((got, want), m) in reps.iter().zip(&want).zip(&feats) {
+            assert_eq!(bits(got), bits(want), "{kind:?}, {} rows", m.rows);
+        }
+        let alone = accumulate_normal_equations(&f, &data);
+        assert_eq!(eq.count, alone.count, "{kind:?}");
+        assert_eq!(bits64(&eq.xtx), bits64(&alone.xtx), "{kind:?} xtx");
+        assert_eq!(bits64(&eq.xty), bits64(&alone.xty), "{kind:?} xty");
     }
 }
